@@ -12,6 +12,20 @@ using pathways::ValueRef;
 using pathways::VirtualSlice;
 using xlasim::CompiledFunction;
 
+namespace {
+
+// "<prefix><stage>_<micro_batch>", built with append: GCC 12 at -O3 reports
+// a false -Wrestrict on `"literal" + std::string` temporaries.
+std::string WaveLabel(const char* prefix, int stage, int micro_batch) {
+  std::string label(prefix);
+  label.append(std::to_string(stage))
+      .append("_")
+      .append(std::to_string(micro_batch));
+  return label;
+}
+
+}  // namespace
+
 StepBuilder::StepBuilder(TransformerConfig config,
                          const hw::SystemParams& hw_params,
                          StepBuilderParams params)
@@ -153,7 +167,7 @@ PathwaysProgram StepBuilder::BuildGPipeProgram(
       fwd[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] =
           pb.Call(stage_fn(s, false), slices[static_cast<std::size_t>(s)],
                   std::move(inputs),
-                  "f" + std::to_string(s) + "_" + std::to_string(m));
+                  WaveLabel("f", s, m));
     }
   }
   // Backward wave: reverse order; bwd(s,m) needs bwd(s+1,m) and the stashed
@@ -169,7 +183,7 @@ PathwaysProgram StepBuilder::BuildGPipeProgram(
       bwd[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] =
           pb.Call(stage_fn(s, true), slices[static_cast<std::size_t>(s)],
                   std::move(inputs),
-                  "b" + std::to_string(s) + "_" + std::to_string(m));
+                  WaveLabel("b", s, m));
     }
   }
   // Per-stage weight update: apply gradients once all micro-batches done.

@@ -19,7 +19,10 @@ const char* SeverityName(Diagnostic::Severity s) {
 std::string Diagnostic::Header() const {
   std::string out = file;
   if (loc.line > 0) {
-    out += ":" + std::to_string(loc.line) + ":" + std::to_string(loc.col);
+    out += ":";
+    out += std::to_string(loc.line);
+    out += ":";
+    out += std::to_string(loc.col);
   }
   out += ": ";
   out += SeverityName(severity);

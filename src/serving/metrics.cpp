@@ -2,34 +2,20 @@
 
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace pw::serving {
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void FnvBytes(std::uint64_t* h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
-void FnvI64(std::uint64_t* h, std::int64_t v) { FnvBytes(h, &v, sizeof(v)); }
-}  // namespace
-
 std::uint64_t ServingTrace::Checksum() const {
-  std::uint64_t h = kFnvOffset;
-  FnvI64(&h, static_cast<std::int64_t>(events_.size()));
+  Fnv1a h;
+  h.AddI64(static_cast<std::int64_t>(events_.size()));
   for (const Event& e : events_) {
-    FnvI64(&h, e.at_ns);
-    FnvI64(&h, static_cast<std::int64_t>(e.kind.size()));
-    FnvBytes(&h, e.kind.data(), e.kind.size());
-    FnvI64(&h, e.request);
-    FnvI64(&h, e.detail);
+    h.AddI64(e.at_ns);
+    h.AddStr(e.kind);
+    h.AddI64(e.request);
+    h.AddI64(e.detail);
   }
-  return h;
+  return h.value();
 }
 
 std::string ServingTrace::ToString() const {

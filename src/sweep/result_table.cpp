@@ -19,7 +19,7 @@ std::string FormatDouble(double d) {
 std::string JsonValue(const ParamValue& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return std::to_string(*i);
   if (const auto* d = std::get_if<double>(&v)) return FormatDouble(*d);
-  return "\"" + JsonEscape(std::get<std::string>(v)) + "\"";
+  return JsonQuote(std::get<std::string>(v));
 }
 
 // Union of keys across rows, in first-seen order.
@@ -61,6 +61,14 @@ std::string JsonEscape(const std::string& s) {
         }
     }
   }
+  return out;
+}
+
+std::string JsonQuote(const std::string& s) {
+  // append, not `"\"" + std::string`: GCC 12 at -O3 reports a false
+  // -Wrestrict on the latter.
+  std::string out = "\"";
+  out.append(JsonEscape(s)).append("\"");
   return out;
 }
 
@@ -119,7 +127,8 @@ void ResultTable::WriteJsonSeries(std::ostream& os, int indent) const {
     os << (row.metrics.empty() ? "}" : " }") << " }";
   }
   const std::size_t close_pad = indent >= 2 ? static_cast<std::size_t>(indent - 2) : 0;
-  os << (rows_.empty() ? "]" : "\n" + std::string(close_pad, ' ') + "]");
+  if (!rows_.empty()) os << "\n" << std::string(close_pad, ' ');
+  os << "]";
 }
 
 void WriteBenchJson(std::ostream& os, const std::string& bench_name,

@@ -71,5 +71,7 @@ std::string WriteBenchJsonFile(const std::string& bench_name,
                                std::string dir = "");
 
 std::string JsonEscape(const std::string& s);
+// JsonEscape(s) wrapped in double quotes.
+std::string JsonQuote(const std::string& s);
 
 }  // namespace pw::sweep

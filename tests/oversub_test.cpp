@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "hw/cluster.h"
 #include "pathways/pathways.h"
 #include "sim/simulator.h"
@@ -470,19 +471,13 @@ SpillScenarioOutcome RunSpillScenario() {
   out.fills = w.store().fills_completed();
   // FNV-1a over the device-kernel trace: spill/fill timing shifts kernel
   // start times, so any nondeterminism in the spill path lands here.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<unsigned char>(v >> (8 * i));
-      h *= 0x100000001b3ULL;
-    }
-  };
+  Fnv1a h;
   for (const sim::TraceSpan& s : w.cluster->trace().spans()) {
-    mix(static_cast<std::int64_t>(s.label.size()));
-    mix(s.start.nanos());
-    mix(s.end.nanos());
+    h.AddI64(static_cast<std::int64_t>(s.label.size()));
+    h.AddI64(s.start.nanos());
+    h.AddI64(s.end.nanos());
   }
-  out.trace_hash = h;
+  out.trace_hash = h.value();
   return out;
 }
 

@@ -278,10 +278,9 @@ std::string ReadFileOrDie(const std::string& path) {
 }
 
 TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
-  const char* names[] = {"multitenant",    "faults",       "faults_plan",
-                         "oversub",        "serving",      "serving_disagg",
-                         "serving_flow",   "network",      "fig12_twoisland",
-                         "parallel"};
+  const char* names[] = {"multitenant",  "faults",         "faults_plan",
+                         "oversub",      "serving",        "serving_disagg",
+                         "serving_flow", "network",        "fig12_twoisland"};
   for (const char* name : names) {
     SCOPED_TRACE(name);
     const std::string path = DefaultScenarioPath(name);
@@ -355,6 +354,19 @@ TEST(ScenarioRunner, UnknownFamilyFailsWithError) {
   std::string error;
   EXPECT_FALSE(RunScenario(s, RunOptions{}, &result, &error));
   EXPECT_NE(error.find("nope"), std::string::npos);
+
+  // At parse time an unregistered family such as "parallel" is a
+  // diagnostic on the family value.
+  DiagnosticEngine diags;
+  const std::string render = ParseExpectingErrors(
+      "{ \"name\": \"t\",\n"
+      "  \"family\": \"parallel\",\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"islands\","
+      " \"values\": [2] } ] } }\n",
+      &s, &diags);
+  EXPECT_NE(render.find("test.json:2:"), std::string::npos) << render;
+  EXPECT_NE(render.find("unknown family 'parallel'"), std::string::npos)
+      << render;
 }
 
 // --- result store ----------------------------------------------------------

@@ -32,12 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "hw/cluster.h"
 #include "models/step_builder.h"
 #include "pathways/pathways.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "xlasim/compiled_function.h"
@@ -49,42 +49,24 @@ using pathways::Client;
 using pathways::PathwaysProgram;
 using pathways::PathwaysRuntime;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void FnvBytes(std::uint64_t* h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
-void FnvI64(std::uint64_t* h, std::int64_t v) { FnvBytes(h, &v, sizeof(v)); }
-
-void FnvStr(std::uint64_t* h, const std::string& s) {
-  FnvI64(h, static_cast<std::int64_t>(s.size()));
-  FnvBytes(h, s.data(), s.size());
-}
-
 struct ScenarioOutcome {
   std::vector<sim::TraceSpan> spans;
   std::int64_t events_executed = 0;
   std::int64_t final_now_ns = 0;
 
   std::uint64_t Checksum() const {
-    std::uint64_t h = kFnvOffset;
-    FnvI64(&h, static_cast<std::int64_t>(spans.size()));
+    Fnv1a h;
+    h.AddI64(static_cast<std::int64_t>(spans.size()));
     for (const sim::TraceSpan& s : spans) {
-      FnvStr(&h, s.resource);
-      FnvI64(&h, s.client);
-      FnvStr(&h, s.label);
-      FnvI64(&h, s.start.nanos());
-      FnvI64(&h, s.end.nanos());
+      h.AddStr(s.resource);
+      h.AddI64(s.client);
+      h.AddStr(s.label);
+      h.AddI64(s.start.nanos());
+      h.AddI64(s.end.nanos());
     }
-    FnvI64(&h, events_executed);
-    FnvI64(&h, final_now_ns);
-    return h;
+    h.AddI64(events_executed);
+    h.AddI64(final_now_ns);
+    return h.value();
   }
 };
 
@@ -97,41 +79,12 @@ struct ScenarioOutcome {
 // run (an *empty* plan must leave the outcome bit-identical to no injector
 // at all — that contract is regression-gated below). With a plan the
 // trainer submits through RunWithRetry so aborted steps are resubmitted.
-// When `engine.num_lps` > 0 the scenario runs on the partitioned engine
-// (sim/partition.h) with the full Pathways stack hosted on LP 0, the
-// control LP, and `engine.sim_threads` worker threads. The acceptance bar
-// for the parallel-engine work: every golden below must be byte-identical
-// between the serial engine and the partitioned engine at every tested
-// sim-thread count.
-struct EngineSpec {
-  int num_lps = 0;  // 0 => plain serial Simulator
-  int sim_threads = 1;
-};
-
 ScenarioOutcome RunScenario(
-    const std::optional<faults::FaultPlan>& plan = std::nullopt,
-    const EngineSpec& engine = {}) {
-  std::unique_ptr<sim::PartitionedSimulator> part;
-  std::unique_ptr<sim::Simulator> serial;
-  if (engine.num_lps > 0) {
-    // Lookahead mirrors DcnFabric's minimum cross-island latency (asserted
-    // below once the cluster exists); irrelevant to the result here since
-    // the control LP hosts every event, but it is what a real multi-LP run
-    // would derive.
-    part = std::make_unique<sim::PartitionedSimulator>(
-        sim::PartitionedSimulator::Options{engine.num_lps, engine.sim_threads,
-                                           Duration::Micros(20)});
-  } else {
-    serial = std::make_unique<sim::Simulator>();
-  }
-  sim::Simulator& sim = part ? part->lp(0) : *serial;
+    const std::optional<faults::FaultPlan>& plan = std::nullopt) {
+  sim::Simulator sim;
   auto cluster = std::make_unique<hw::Cluster>(
       &sim, hw::SystemParams::TpuDefault(), /*islands=*/2,
       /*hosts_per_island=*/2, /*devices_per_host=*/4);
-  if (part) {
-    EXPECT_EQ(part->lookahead().nanos(),
-              cluster->dcn().MinCrossIslandLatency().nanos());
-  }
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan.has_value()) {
@@ -161,18 +114,9 @@ ScenarioOutcome RunScenario(
   for (int i = 0; i < 3; ++i) {
     auto done = faulted ? trainer->RunWithRetry(&step) : trainer->Run(&step);
     prober->RunFunction(probe_fn, probe_slice);
-    const auto pred = [&done] { return done.ready(); };
-    if (part) {
-      part->RunUntilPredicate(pred);
-    } else {
-      sim.RunUntilPredicate(pred);
-    }
+    sim.RunUntilPredicate([&done] { return done.ready(); });
   }
-  if (part) {
-    part->Run();
-  } else {
-    sim.Run();
-  }
+  sim.Run();
 
   ScenarioOutcome out;
   out.spans = cluster->trace().spans();
@@ -289,44 +233,6 @@ TEST(SimDeterminismGolden, FaultScenarioMatchesRecordedChecksum) {
       << "changed. actual checksum=0x" << std::hex << out.Checksum()
       << " events=" << std::dec << out.events_executed
       << " now_ns=" << out.final_now_ns;
-}
-
-// ----------------------------------------------------------------------- //
-// Partitioned-engine goldens: the same scenarios, run on the conservative
-// parallel engine (sim/partition.h) with the Pathways stack on the control
-// LP, must reproduce every golden byte-for-byte at every sim-thread count.
-// This is the deterministic-merge acceptance gate for the parallel engine:
-// windowed execution, the LBTS protocol, and worker-pool scheduling must be
-// invisible to the event order, the event count, and the final clock.
-
-TEST(SimDeterminismGolden, PartitionedEnginePreservesGolden) {
-  for (const int threads : {1, 4}) {
-    const ScenarioOutcome out =
-        RunScenario(std::nullopt, EngineSpec{/*num_lps=*/4, threads});
-    EXPECT_EQ(out.events_executed, kGoldenEventsExecuted)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.final_now_ns, kGoldenFinalNowNs)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.Checksum(), kGoldenChecksum)
-        << "partitioned engine diverged from the serial golden at "
-        << threads << " sim-threads. actual checksum=0x" << std::hex
-        << out.Checksum();
-  }
-}
-
-TEST(SimDeterminismGolden, PartitionedEnginePreservesFaultGolden) {
-  for (const int threads : {1, 4}) {
-    const ScenarioOutcome out =
-        RunScenario(FixedFaultPlan(), EngineSpec{/*num_lps=*/4, threads});
-    EXPECT_EQ(out.events_executed, kFaultGoldenEventsExecuted)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.final_now_ns, kFaultGoldenFinalNowNs)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.Checksum(), kFaultGoldenChecksum)
-        << "partitioned engine diverged from the fault-scenario golden at "
-        << threads << " sim-threads. actual checksum=0x" << std::hex
-        << out.Checksum();
-  }
 }
 
 }  // namespace

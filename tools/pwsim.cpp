@@ -40,12 +40,9 @@ int Usage(FILE* out) {
                "      Parse + schema-check + family-check each file; prints\n"
                "      clang-style diagnostics; exit 1 if any file fails.\n"
                "  pwsim run <name|file> [--quick] [--threads N] [--out DIR]\n"
-               "                        [--sim-threads N] [--no-determinism]\n"
-               "                        [--dry-run]\n"
+               "                        [--no-determinism] [--dry-run]\n"
                "      Run the scenario's sweep and write BENCH_<name>.json\n"
-               "      (--dry-run: validate and list grid points only;\n"
-               "      --sim-threads: per-point partitioned-engine threads,\n"
-               "      sweep workers become threads / sim-threads).\n"
+               "      (--dry-run: validate and list grid points only).\n"
                "  pwsim query --select <glob> [--dir DIR]\n"
                "      Print 'path value' for every result matching the\n"
                "      glob (segments split on '/'; * ? within a segment,\n"
@@ -118,8 +115,6 @@ int CmdRun(const std::vector<std::string>& args) {
       dry_run = true;
     } else if (a == "--threads" && i + 1 < args.size()) {
       opts.threads = std::atoi(args[++i].c_str());
-    } else if (a == "--sim-threads" && i + 1 < args.size()) {
-      opts.sim_threads = std::atoi(args[++i].c_str());
     } else if (a == "--out" && i + 1 < args.size()) {
       opts.out_dir = args[++i];
     } else if (!a.empty() && a[0] == '-') {
