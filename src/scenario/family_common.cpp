@@ -35,4 +35,11 @@ std::unique_ptr<hw::Cluster> BuildCluster(sim::Simulator* sim,
                                        c.hosts_per_island, c.devices_per_host);
 }
 
+double MetricOf(const sweep::ResultRow& row, const std::string& name) {
+  for (const auto& [k, v] : row.metrics) {
+    if (k == name) return v;
+  }
+  return 0.0;
+}
+
 }  // namespace pw::scenario

@@ -2,12 +2,15 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
+#include "faults/fault_plan.h"
 #include "hw/cluster.h"
 #include "hw/system_params.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
+#include "sweep/result_table.h"
 
 namespace pw::scenario {
 
@@ -23,6 +26,14 @@ hw::SystemParams BaseSystemParams(const ClusterSpec& c);
 std::unique_ptr<hw::Cluster> BuildCluster(sim::Simulator* sim,
                                           const ClusterSpec& c,
                                           const hw::SystemParams& params);
+
+// A result row's metric by name; 0 when the row does not carry it.
+double MetricOf(const sweep::ResultRow& row, const std::string& name);
+
+// The faults family's single island for one island_devices value: four
+// devices per host, at least one host. Its measurement builds this shape,
+// and ValidateForFamily checks fault_plan targets against it.
+faults::ClusterShape FaultsIslandShape(int island_devices);
 
 // Family constructors, one per measurement harness (assembled into the
 // registry by runner.cpp).

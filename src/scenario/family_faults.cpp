@@ -34,8 +34,8 @@ struct PointResult {
 };
 
 // The declarative fault_plan section lowered onto the builder API.
-// Out-of-range targets die in FaultPlan::Validate when the injector arms,
-// naming the offending event.
+// ValidateForFamily has already rejected out-of-range targets;
+// FaultPlan::Validate still checks them when the injector arms.
 faults::FaultPlan PlanFromSpec(const FaultsSpec& spec) {
   faults::FaultPlan plan;
   for (const FaultPlanEvent& e : spec.fault_plan) {
@@ -58,7 +58,6 @@ faults::FaultPlan PlanFromSpec(const FaultsSpec& spec) {
 faults::FaultPlan RandomPlan(const FaultsSpec& spec, int island_devices,
                              int crashes, std::uint64_t seed) {
   if (crashes <= 0) return {};
-  const int hosts = std::max(1, island_devices / 4);
   faults::FaultPlan::RandomSpec fspec;
   fspec.device_crashes = crashes;
   fspec.stragglers = crashes / 2;
@@ -68,8 +67,8 @@ faults::FaultPlan RandomPlan(const FaultsSpec& spec, int island_devices,
   fspec.min_window = Duration::Millis(spec.min_window_ms);
   fspec.max_window = Duration::Millis(spec.max_window_ms);
   fspec.always_recover = spec.always_recover;
-  return faults::FaultPlan::Random(
-      seed, faults::ClusterShape{island_devices, hosts}, fspec);
+  return faults::FaultPlan::Random(seed, FaultsIslandShape(island_devices),
+                                   fspec);
 }
 
 // Runs the training loop on an island of `island_devices` with `plan`
@@ -79,7 +78,7 @@ PointResult RunPoint(const Scenario& sc, const FaultsSpec& spec,
   const Duration horizon = Duration::Millis(spec.horizon_ms);
   sim::Simulator sim;
   const hw::SystemParams params = BaseSystemParams(sc.cluster);
-  const int hosts = std::max(1, island_devices / 4);
+  const int hosts = FaultsIslandShape(island_devices).num_hosts;
   const int devs_per_host = island_devices / hosts;
   auto cluster = std::make_unique<hw::Cluster>(&sim, params, /*islands=*/1,
                                                hosts, devs_per_host);
@@ -152,13 +151,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
           {"client_retries", faulted.retries}};
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>&, bool) {
@@ -173,6 +165,10 @@ std::map<std::string, double> Summarize(
 }
 
 }  // namespace
+
+faults::ClusterShape FaultsIslandShape(int island_devices) {
+  return {island_devices, std::max(1, island_devices / 4)};
+}
 
 Family MakeFaultsFamily() {
   Family f;

@@ -186,13 +186,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   return m;
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool quick, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>&, bool deterministic) {

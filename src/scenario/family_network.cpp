@@ -75,13 +75,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
           {"shuffle_abstract_ms", shuffle_abstract}};
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>& points, bool deterministic) {

@@ -28,22 +28,17 @@ using serving::ServingTenant;
 using serving::ServingTrace;
 using serving::TenantSpec;
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
-// --- family "serving" ------------------------------------------------------
+// Serving and disagg specs share the request-shape fields below.
 
 // Projected full KV of one worst-case sequence, per device shard.
-int MaxKvTokens(const ServingSpec& spec) {
+template <typename Spec>
+int MaxKvTokens(const Spec& spec) {
   return spec.max_prefill_tokens + spec.max_decode_tokens - 1;
 }
 
-TenantSpec ColocatedTenantSpec(const ServingSpec& spec, int t, double rate,
-                               Duration horizon) {
+template <typename Spec>
+TenantSpec MakeTenantSpec(const Spec& spec, int t, double rate,
+                          Duration horizon) {
   TenantSpec ts;
   ts.arrivals.process = t == 0 ? workload::ArrivalProcess::kPoisson
                                : workload::ArrivalProcess::kUniform;
@@ -60,6 +55,8 @@ TenantSpec ColocatedTenantSpec(const ServingSpec& spec, int t, double rate,
                   static_cast<std::uint64_t>(t);
   return ts;
 }
+
+// --- family "serving" ------------------------------------------------------
 
 sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                               const sweep::ParamPoint& p) {
@@ -102,9 +99,9 @@ sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                            &metrics, &trace);
 
   ServingTenant tenant0(0, &batcher, &sim,
-                        ColocatedTenantSpec(spec, 0, rate, horizon));
+                        MakeTenantSpec(spec, 0, rate, horizon));
   ServingTenant tenant1(1, &batcher, &sim,
-                        ColocatedTenantSpec(spec, 1, rate, horizon));
+                        MakeTenantSpec(spec, 1, rate, horizon));
   tenant0.Start();
   tenant1.Start();
   sim.Run();
@@ -195,29 +192,6 @@ std::map<std::string, double> SummarizeServing(
 
 // --- family "serving_disagg" -----------------------------------------------
 
-int DisaggMaxKvTokens(const DisaggSpec& spec) {
-  return spec.max_prefill_tokens + spec.max_decode_tokens - 1;
-}
-
-TenantSpec DisaggTenantSpec(const DisaggSpec& spec, int t, double rate,
-                            Duration horizon) {
-  TenantSpec ts;
-  ts.arrivals.process = t == 0 ? workload::ArrivalProcess::kPoisson
-                               : workload::ArrivalProcess::kUniform;
-  ts.arrivals.rate_per_sec = rate / 2;
-  ts.arrivals.horizon = horizon;
-  ts.arrivals.seed = static_cast<std::uint64_t>(spec.arrival_seed_base) +
-                     static_cast<std::uint64_t>(t) *
-                         static_cast<std::uint64_t>(spec.arrival_seed_stride);
-  ts.min_prefill_tokens = spec.min_prefill_tokens;
-  ts.max_prefill_tokens = spec.max_prefill_tokens;
-  ts.min_decode_tokens = spec.min_decode_tokens;
-  ts.max_decode_tokens = spec.max_decode_tokens;
-  ts.token_seed = static_cast<std::uint64_t>(spec.token_seed_base) +
-                  static_cast<std::uint64_t>(t);
-  return ts;
-}
-
 // Decode-island KV working set per shard at the reference half:half split;
 // HBM is fixed across every point at half of it (plus staging headroom).
 Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
@@ -226,7 +200,7 @@ Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
       models::TransformerConfig::Decoder3B();
   const Bytes kv_per_shard = model.KvBytesPerToken() / (devices_per_arm / 2);
   const Bytes working_set = static_cast<Bytes>(spec.max_batch) *
-                            DisaggMaxKvTokens(spec) * kv_per_shard;
+                            MaxKvTokens(spec) * kv_per_shard;
   return working_set / 2 + cfg.activation_bytes_per_shard +
          cfg.output_bytes_per_shard + MiB(spec.hbm_headroom_mib);
 }
@@ -253,7 +227,7 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
   };
   // Projected-KV admission budget for a decode role with `shards` devices.
   auto kv_budget = [&](int shards) {
-    return static_cast<Bytes>(spec.max_batch) * DisaggMaxKvTokens(spec) *
+    return static_cast<Bytes>(spec.max_batch) * MaxKvTokens(spec) *
            (model.KvBytesPerToken() / shards);
   };
 
@@ -299,10 +273,10 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
     auto sink = [&router](serving::Request req) {
       return router.Offer(std::move(req));
     };
-    ServingTenant tenant0(0, sink, &sim, DisaggTenantSpec(spec, 0, rate,
-                                                          horizon));
-    ServingTenant tenant1(1, sink, &sim, DisaggTenantSpec(spec, 1, rate,
-                                                          horizon));
+    ServingTenant tenant0(0, sink, &sim,
+                          MakeTenantSpec(spec, 0, rate, horizon));
+    ServingTenant tenant1(1, sink, &sim,
+                          MakeTenantSpec(spec, 1, rate, horizon));
     tenant0.Start();
     tenant1.Start();
     sim.Run();
@@ -356,10 +330,10 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
         client, client->AllocateSlice(arm_devices, hw::IslandId(0)).value(),
         costs.KvConfig(), cfg, &metrics, &trace);
 
-    ServingTenant tenant0(0, &batcher, &sim, DisaggTenantSpec(spec, 0, rate,
-                                                              horizon));
-    ServingTenant tenant1(1, &batcher, &sim, DisaggTenantSpec(spec, 1, rate,
-                                                              horizon));
+    ServingTenant tenant0(0, &batcher, &sim,
+                          MakeTenantSpec(spec, 0, rate, horizon));
+    ServingTenant tenant1(1, &batcher, &sim,
+                          MakeTenantSpec(spec, 1, rate, horizon));
     tenant0.Start();
     tenant1.Start();
     sim.Run();

@@ -1,5 +1,7 @@
 #include "scenario/runner.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +25,42 @@ const std::vector<Family>& Registry() {
     return v;
   }();
   return *families;
+}
+
+// Every fault_plan target must exist on the smallest island the sweep
+// declares, full or quick; the injector would otherwise abort the run on
+// FaultPlan::Validate. Reports on the entry's device/host key.
+void CheckFaultPlanTargets(const Scenario& s, DiagnosticEngine* diags) {
+  std::int64_t smallest = std::numeric_limits<int>::max();
+  for (const SweepAxis& axis : s.sweep) {
+    if (axis.name != "island_devices") continue;
+    for (const auto* values : {&axis.values, &axis.quick_values}) {
+      for (const sweep::ParamValue& v : *values) {
+        if (const auto* d = std::get_if<std::int64_t>(&v)) {
+          smallest = std::min(smallest, *d);
+        }
+      }
+    }
+  }
+  const faults::ClusterShape shape =
+      FaultsIslandShape(static_cast<int>(smallest));
+  const FaultsSpec& full = s.faults.full;
+  const FaultsSpec& quick = s.faults.quick;
+  for (const auto* plan : {&full.fault_plan, &quick.fault_plan}) {
+    if (plan != &full.fault_plan && quick.fault_plan == full.fault_plan) break;
+    for (const FaultPlanEvent& e : *plan) {
+      const bool on_device = e.kind == "device_crash" || e.kind == "straggler";
+      const int count = on_device ? shape.num_devices : shape.num_hosts;
+      const int target = on_device ? e.device : e.host;
+      if (target < count) continue;
+      const std::string what = on_device ? "device" : "host";
+      diags->Error(e.target.loc,
+                   "fault_plan " + what + " " + std::to_string(target) +
+                       " is out of range: island_devices " +
+                       std::to_string(shape.num_devices) + " has " +
+                       std::to_string(count) + " " + what + "(s)");
+    }
+  }
 }
 
 }  // namespace
@@ -112,6 +150,7 @@ bool ValidateForFamily(Scenario* s, DiagnosticEngine* diags) {
                                      AxisKindName(fa.kind) + ")");
     }
   }
+  if (s->family == "faults") CheckFaultPlanTargets(*s, diags);
   if (s->family == "faults" && !has_fault_plan) {
     diags->Note(s->faults.present ? s->faults.loc : s->sweep_loc,
                 "deriving the fault timeline from the faults_per_sec axis is "

@@ -5,46 +5,271 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <variant>
 
 #include "scenario/json.h"
+#include "scenario/runner.h"
 #include "sweep/result_table.h"
 
 namespace pw::scenario {
 namespace {
 
-// The known families double as the schema's section keys.
-const std::vector<std::string>& KnownFamilies() {
-  static const std::vector<std::string> kFamilies{
-      "multitenant",    "faults",  "oversub",        "serving",
-      "serving_disagg", "network", "fig12_twoisland"};
-  return kFamilies;
+const std::vector<std::string> kPresets{"tpu_default", "gpu_vm", "config_a",
+                                        "config_b"};
+const std::vector<std::string> kFaultKinds{"device_crash", "straggler",
+                                           "link_degrade", "partition"};
+
+bool Contains(const std::vector<std::string>& names, const std::string& s) {
+  for (const std::string& n : names) {
+    if (n == s) return true;
+  }
+  return false;
 }
 
-const std::vector<std::string>& KnownPresets() {
-  static const std::vector<std::string> kPresets{"tpu_default", "gpu_vm",
-                                                "config_a", "config_b"};
-  return kPresets;
+// Location of `key`'s value in `obj`, or of `obj` itself when absent (an
+// overlay inheriting a bad value reports at the overlay).
+SourceLoc ValueLoc(const Json& obj, const char* key) {
+  const Json* v = obj.Find(key);
+  return v != nullptr ? v->loc() : obj.loc();
+}
+
+// ---------------------------------------------------------------------------
+// Field tables.
+//
+// Each spec's fields are declared once, as {key, member, min} rows. One
+// generic reader (FieldReader::Fields) parses a table, one generic emitter
+// (EmitFields) writes it back canonically, and each spec's defaulted
+// operator== decides what a quick overlay changes. A new spec field is one
+// struct member plus one row.
+
+template <typename T>
+using Member =
+    std::variant<int T::*, std::int64_t T::*, double T::*, bool T::*,
+                 std::string T::*, std::optional<double> T::*,
+                 std::vector<FaultPlanEvent> T::*>;
+
+template <typename T>
+struct Field {
+  const char* key;
+  Member<T> member;
+  // Inclusive lower bound on numeric values.
+  double min = -std::numeric_limits<double>::infinity();
+};
+
+template <typename T>
+using FieldTable = std::vector<Field<T>>;
+
+// kFields<Spec>: the one field list per spec, in canonical emit order.
+template <typename T>
+extern const FieldTable<T> kFields;
+
+template <>
+const FieldTable<ClusterSpec> kFields<ClusterSpec> = {
+    {"preset", &ClusterSpec::preset},
+    {"islands", &ClusterSpec::islands, 1},
+    {"hosts_per_island", &ClusterSpec::hosts_per_island, 1},
+    {"devices_per_host", &ClusterSpec::devices_per_host, 1},
+    {"host_jitter_frac", &ClusterSpec::host_jitter_frac, 0},
+    {"hbm_capacity_mib", &ClusterSpec::hbm_capacity_mib, 0},
+    {"host_dram_capacity_mib", &ClusterSpec::host_dram_capacity_mib, 0},
+};
+
+// The cluster's nested "ici_flow" and "dcn_clos" blocks.
+const FieldTable<ClusterSpec> kIciFlowFields = {
+    {"enabled", &ClusterSpec::ici_flow},
+    {"dims", &ClusterSpec::ici_flow_dims, 2},
+};
+const FieldTable<ClusterSpec> kDcnClosFields = {
+    {"enabled", &ClusterSpec::dcn_clos},
+    {"hosts_per_leaf", &ClusterSpec::clos_hosts_per_leaf, 1},
+    {"num_spines", &ClusterSpec::clos_num_spines, 1},
+    {"oversubscription", &ClusterSpec::clos_oversubscription, 0},
+};
+
+template <>
+const FieldTable<MultitenantSpec> kFields<MultitenantSpec> = {
+    {"nominal_pod_per_sec", &MultitenantSpec::nominal_pod_per_sec, 0},
+    {"max_inflight_gangs", &MultitenantSpec::max_inflight_gangs, 1},
+    {"warmup_ms", &MultitenantSpec::warmup_ms, 0},
+    {"horizon_ms", &MultitenantSpec::horizon_ms, 0},
+    {"queue_capacity", &MultitenantSpec::queue_capacity, 1},
+    {"max_outstanding", &MultitenantSpec::max_outstanding, 1},
+    {"retry_max_attempts", &MultitenantSpec::retry_max_attempts, 1},
+    {"retry_initial_backoff_us", &MultitenantSpec::retry_initial_backoff_us,
+     0},
+    {"retry_max_backoff_ms", &MultitenantSpec::retry_max_backoff_ms, 0},
+    {"step_us", &MultitenantSpec::step_us, 0},
+    {"collective_bytes", &MultitenantSpec::collective_bytes, 0},
+    {"seed_base", &MultitenantSpec::seed_base, 0},
+};
+
+// Every key is legal here; ReadFaultPlanEvent then rejects the target keys
+// the event's kind does not take.
+template <>
+const FieldTable<FaultPlanEvent> kFields<FaultPlanEvent> = {
+    {"kind", &FaultPlanEvent::kind},
+    {"at_ms", &FaultPlanEvent::at_ms, 0},
+    {"window_ms", &FaultPlanEvent::window_ms, 0},
+    {"device", &FaultPlanEvent::device, 0},
+    {"host", &FaultPlanEvent::host, 0},
+    {"severity", &FaultPlanEvent::severity},
+};
+
+template <>
+const FieldTable<FaultsSpec> kFields<FaultsSpec> = {
+    {"horizon_ms", &FaultsSpec::horizon_ms, 0},
+    {"min_window_ms", &FaultsSpec::min_window_ms, 0},
+    {"max_window_ms", &FaultsSpec::max_window_ms, 0},
+    {"link_degrades", &FaultsSpec::link_degrades, 0},
+    {"always_recover", &FaultsSpec::always_recover},
+    {"retry_max_attempts", &FaultsSpec::retry_max_attempts, 1},
+    {"retry_initial_backoff_us", &FaultsSpec::retry_initial_backoff_us, 0},
+    {"step_us", &FaultsSpec::step_us, 0},
+    {"collective_kib", &FaultsSpec::collective_kib, 0},
+    {"seed_base", &FaultsSpec::seed_base, 0},
+    {"fault_plan", &FaultsSpec::fault_plan},
+};
+
+template <>
+const FieldTable<OversubSpec> kFields<OversubSpec> = {
+    {"tenants", &OversubSpec::tenants, 1},
+    {"weights_per_shard_mib", &OversubSpec::weights_per_shard_mib, 0},
+    {"output_per_shard_mib", &OversubSpec::output_per_shard_mib, 0},
+    {"working_headroom_mib", &OversubSpec::working_headroom_mib, 0},
+    {"requests_per_tenant", &OversubSpec::requests_per_tenant, 1},
+    {"step_us", &OversubSpec::step_us, 0},
+};
+
+template <>
+const FieldTable<ServingSpec> kFields<ServingSpec> = {
+    {"kv_bytes_per_token", &ServingSpec::kv_bytes_per_token, 1},
+    {"max_batch", &ServingSpec::max_batch, 1},
+    {"token_budget", &ServingSpec::token_budget, 1},
+    {"min_prefill_tokens", &ServingSpec::min_prefill_tokens, 1},
+    {"max_prefill_tokens", &ServingSpec::max_prefill_tokens, 1},
+    {"min_decode_tokens", &ServingSpec::min_decode_tokens, 1},
+    {"max_decode_tokens", &ServingSpec::max_decode_tokens, 1},
+    {"horizon_ms", &ServingSpec::horizon_ms, 0},
+    {"hbm_frac_of_working_set", &ServingSpec::hbm_frac_of_working_set, 0},
+    {"hbm_headroom_kib", &ServingSpec::hbm_headroom_kib, 0},
+    {"arrival_seed_base", &ServingSpec::arrival_seed_base, 0},
+    {"arrival_seed_stride", &ServingSpec::arrival_seed_stride, 0},
+    {"token_seed_base", &ServingSpec::token_seed_base, 0},
+};
+
+template <>
+const FieldTable<DisaggSpec> kFields<DisaggSpec> = {
+    {"model", &DisaggSpec::model},
+    {"max_batch", &DisaggSpec::max_batch, 1},
+    {"token_budget", &DisaggSpec::token_budget, 1},
+    {"min_prefill_tokens", &DisaggSpec::min_prefill_tokens, 1},
+    {"max_prefill_tokens", &DisaggSpec::max_prefill_tokens, 1},
+    {"min_decode_tokens", &DisaggSpec::min_decode_tokens, 1},
+    {"max_decode_tokens", &DisaggSpec::max_decode_tokens, 1},
+    {"horizon_ms", &DisaggSpec::horizon_ms, 0},
+    {"hbm_headroom_mib", &DisaggSpec::hbm_headroom_mib, 0},
+    {"arrival_seed_base", &DisaggSpec::arrival_seed_base, 0},
+    {"arrival_seed_stride", &DisaggSpec::arrival_seed_stride, 0},
+    {"token_seed_base", &DisaggSpec::token_seed_base, 0},
+};
+
+template <>
+const FieldTable<NetworkSpec> kFields<NetworkSpec> = {
+    {"message_mib", &NetworkSpec::message_mib, 0},
+    {"hosts", &NetworkSpec::hosts, 2},
+    {"hosts_per_leaf", &NetworkSpec::hosts_per_leaf, 1},
+    {"num_spines", &NetworkSpec::num_spines, 1},
+};
+
+template <>
+const FieldTable<Fig12Spec> kFields<Fig12Spec> = {
+    {"steps", &Fig12Spec::steps, 1},
+    {"chunks", &Fig12Spec::chunks, 1},
+    {"max_inflight_gangs", &Fig12Spec::max_inflight_gangs, 1},
+    {"model_parallel", &Fig12Spec::model_parallel, 1},
+};
+
+// One family section: its top-level key, which is also the family name,
+// and the Scenario member it parses into.
+template <typename T>
+struct Section {
+  const char* key;
+  WithQuick<T> Scenario::*member;
+};
+
+// Every family section in canonical order; the keys are the known families.
+const std::tuple kSections{
+    Section{"multitenant", &Scenario::multitenant},
+    Section{"faults", &Scenario::faults},
+    Section{"oversub", &Scenario::oversub},
+    Section{"serving", &Scenario::serving},
+    Section{"serving_disagg", &Scenario::disagg},
+    Section{"network", &Scenario::network},
+    Section{"fig12_twoisland", &Scenario::fig12},
+};
+
+template <typename Fn>
+void ForEachSection(Fn&& fn) {
+  std::apply([&](const auto&... section) { (fn(section), ...); }, kSections);
 }
 
 // ---------------------------------------------------------------------------
 // Typed field extraction with unknown-key detection.
 //
-// Every Read* function below funnels object members through one FieldReader;
-// Finish() then reports any member that was never registered, with a
-// "did you mean" suggestion over the registered keys. The same read function
-// serves the full section and its "quick" overlay (overlay=true skips the
-// nested "quick" registration and leaves absent fields at their incoming
+// Every object is read through one FieldReader; Finish() then reports any
+// member that was never registered, with a "did you mean" suggestion over
+// the registered keys. The same table read serves a full section and its
+// "quick" overlay (the overlay leaves absent fields at their incoming
 // values, which are the full-spec values).
+
+void ReadFaultPlan(const Json& arr, std::vector<FaultPlanEvent>* out,
+                   DiagnosticEngine* diags);
 
 class FieldReader {
  public:
   FieldReader(const Json& obj, DiagnosticEngine* diags)
       : obj_(obj), diags_(diags) {}
 
-  void Int(const char* key, int* out,
-           std::int64_t min = std::numeric_limits<std::int64_t>::min()) {
+  // Reads every row of `table` present in the object into *s.
+  template <typename T>
+  void Fields(const FieldTable<T>& table, T* s) {
+    for (const Field<T>& f : table) {
+      std::visit([&](auto member) { Read(f.key, &(s->*member), f.min); },
+                 f.member);
+    }
+  }
+
+  void String(const char* key, std::string* out, SourceLoc* loc = nullptr) {
+    const Json* v = Get(key, &Json::is_string, "string");
+    if (v == nullptr) return;
+    *out = v->string_value();
+    if (loc != nullptr) *loc = v->loc();
+  }
+
+  // Registers `key` and returns it when present and an object/array.
+  const Json* Object(const char* key) {
+    return Get(key, &Json::is_object, "object");
+  }
+  const Json* Array(const char* key) {
+    return Get(key, &Json::is_array, "array");
+  }
+
+  // Reports unknown keys with a suggestion over everything registered.
+  void Finish() {
+    for (const Json::Member& m : obj_.members()) {
+      if (!Contains(keys_, m.key)) {
+        diags_->Error(m.key_loc, "unknown key '" + m.key + "'" +
+                                     DidYouMeanSuffix(m.key, keys_));
+      }
+    }
+  }
+
+ private:
+  void Read(const char* key, int* out, double min) {
     std::int64_t v = *out;
-    I64(key, &v, min);
+    Read(key, &v, min);
     if (v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max()) {
       diags_->Error(obj_.KeyLoc(key),
@@ -54,136 +279,59 @@ class FieldReader {
     *out = static_cast<int>(v);
   }
 
-  void I64(const char* key, std::int64_t* out,
-           std::int64_t min = std::numeric_limits<std::int64_t>::min()) {
-    const Json* v = Register(key);
+  void Read(const char* key, std::int64_t* out, double min) {
+    const Json* v = Get(key, &Json::is_int, "int");
     if (v == nullptr) return;
-    if (!v->is_int()) {
-      TypeError(key, "int", *v);
-      return;
-    }
     if (v->int_value() < min) {
-      diags_->Error(v->loc(), std::string("key '") + key + "' must be >= " +
-                                  std::to_string(min) + " (got " +
-                                  std::to_string(v->int_value()) + ")");
+      BelowMin(*v, key, min, std::to_string(v->int_value()));
       return;
     }
     *out = v->int_value();
   }
 
-  void Double(const char* key, double* out,
-              double min = -std::numeric_limits<double>::infinity()) {
-    const Json* v = Register(key);
-    if (v == nullptr) return;
-    if (!v->is_number()) {
-      TypeError(key, "number", *v);
-      return;
-    }
+  // Returns whether *out was assigned.
+  bool Read(const char* key, double* out, double min) {
+    const Json* v = Get(key, &Json::is_number, "number");
+    if (v == nullptr) return false;
     if (v->number_value() < min) {
-      diags_->Error(v->loc(), std::string("key '") + key + "' must be >= " +
-                                  FormatNumber(min) + " (got " +
-                                  FormatNumber(v->number_value()) + ")");
-      return;
+      BelowMin(*v, key, min, FormatNumber(v->number_value()));
+      return false;
     }
     *out = v->number_value();
+    return true;
   }
 
-  void OptDouble(const char* key, std::optional<double>* out, double min) {
+  void Read(const char* key, std::optional<double>* out, double min) {
     double v = 0;
-    bool had = false;
-    {
-      const Json* j = Register(key);
-      if (j == nullptr) return;
-      if (!j->is_number()) {
-        TypeError(key, "number", *j);
-        return;
-      }
-      v = j->number_value();
-      had = true;
-      if (v < min) {
-        diags_->Error(j->loc(), std::string("key '") + key +
-                                    "' must be >= " + FormatNumber(min));
-        return;
-      }
-    }
-    if (had) *out = v;
+    if (Read(key, &v, min)) *out = v;
   }
 
-  void Bool(const char* key, bool* out) {
-    const Json* v = Register(key);
-    if (v == nullptr) return;
-    if (!v->is_bool()) {
-      TypeError(key, "bool", *v);
-      return;
-    }
-    *out = v->bool_value();
+  void Read(const char* key, bool* out, double) {
+    if (const Json* v = Get(key, &Json::is_bool, "bool")) *out = v->bool_value();
   }
 
-  void String(const char* key, std::string* out, SourceLoc* loc = nullptr) {
-    const Json* v = Register(key);
-    if (v == nullptr) return;
-    if (!v->is_string()) {
-      TypeError(key, "string", *v);
-      return;
-    }
-    *out = v->string_value();
-    if (loc != nullptr) *loc = v->loc();
+  void Read(const char* key, std::string* out, double) { String(key, out); }
+
+  void Read(const char* key, std::vector<FaultPlanEvent>* out, double) {
+    if (const Json* arr = Array(key)) ReadFaultPlan(*arr, out, diags_);
   }
 
-  // Registers `key` and returns it when present and an object/array.
-  const Json* Object(const char* key) {
-    const Json* v = Register(key);
-    if (v == nullptr) return nullptr;
-    if (!v->is_object()) {
-      TypeError(key, "object", *v);
-      return nullptr;
-    }
-    return v;
-  }
-
-  const Json* Array(const char* key) {
-    const Json* v = Register(key);
-    if (v == nullptr) return nullptr;
-    if (!v->is_array()) {
-      TypeError(key, "array", *v);
-      return nullptr;
-    }
-    return v;
-  }
-
-  // Registers a key this reader handles elsewhere (e.g. "quick").
-  void Allow(const char* key) { keys_.emplace_back(key); }
-
-  bool Saw(const std::string& key) const {
-    return obj_.Find(key) != nullptr;
-  }
-
-  // Reports unknown keys with a suggestion over everything registered.
-  void Finish() {
-    for (const Json::Member& m : obj_.members()) {
-      bool known = false;
-      for (const std::string& k : keys_) {
-        if (k == m.key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        diags_->Error(m.key_loc, "unknown key '" + m.key + "'" +
-                                     DidYouMeanSuffix(m.key, keys_));
-      }
-    }
-  }
-
- private:
-  const Json* Register(const char* key) {
+  // Registers `key`; returns its value when present and of the wanted kind,
+  // reporting a type error otherwise.
+  const Json* Get(const char* key, bool (Json::*is_kind)() const,
+                  const char* want) {
     keys_.emplace_back(key);
-    return obj_.Find(key);
+    const Json* v = obj_.Find(key);
+    if (v == nullptr || (v->*is_kind)()) return v;
+    diags_->Error(v->loc(), std::string("key '") + key + "' expects " + want +
+                                ", got " + v->kind_name());
+    return nullptr;
   }
 
-  void TypeError(const char* key, const char* want, const Json& got) {
-    diags_->Error(got.loc(), std::string("key '") + key + "' expects " +
-                                 want + ", got " + got.kind_name());
+  void BelowMin(const Json& v, const char* key, double min,
+                const std::string& got) {
+    diags_->Error(v.loc(), std::string("key '") + key + "' must be >= " +
+                               FormatNumber(min) + " (got " + got + ")");
   }
 
   static std::string FormatNumber(double d) {
@@ -198,30 +346,81 @@ class FieldReader {
 };
 
 // ---------------------------------------------------------------------------
-// Section readers. One function per spec, shared by full and overlay parse.
+// Rules a table cannot express, applied after the table read.
+
+// Whether a fault kind takes `key`: device_crash/straggler target a device,
+// link_degrade/partition a host, and only straggler/link_degrade carry a
+// severity. Parse rejects the rest, and Serialize writes exactly these, so
+// a parsed event serializes back to the keys it was written with.
+bool AppliesTo(const std::string& kind, const std::string& key) {
+  const bool device_kind = kind == "device_crash" || kind == "straggler";
+  if (key == "device") return device_kind;
+  if (key == "host") return !device_kind;
+  if (key == "severity") return kind == "straggler" || kind == "link_degrade";
+  return true;
+}
+
+void ReadFaultPlanEvent(const Json& obj, FaultPlanEvent* e,
+                        DiagnosticEngine* diags) {
+  FieldReader r(obj, diags);
+  r.Fields(kFields<FaultPlanEvent>, e);
+  r.Finish();
+
+  if (!Contains(kFaultKinds, e->kind)) {
+    diags->Error(ValueLoc(obj, "kind"),
+                 "unknown fault kind '" + e->kind + "'" +
+                     DidYouMeanSuffix(e->kind, kFaultKinds));
+    return;
+  }
+  e->target.loc = obj.KeyLoc(AppliesTo(e->kind, "device") ? "device" : "host");
+  for (const char* key : {"device", "host", "severity"}) {
+    if (obj.Find(key) != nullptr && !AppliesTo(e->kind, key)) {
+      diags->Error(obj.KeyLoc(key), std::string("'") + key +
+                                        "' does not apply to kind '" +
+                                        e->kind + "'");
+    }
+  }
+  if (e->kind == "straggler" && e->severity < 1.0) {
+    diags->Error(obj.KeyLoc("severity"),
+                 "straggler 'severity' is a compute multiplier; "
+                 "it must be >= 1");
+  } else if (e->kind == "link_degrade" &&
+             (e->severity <= 0.0 || e->severity > 1.0)) {
+    diags->Error(obj.KeyLoc("severity"),
+                 "link_degrade 'severity' is a bandwidth scale; "
+                 "it must be in (0, 1]");
+  }
+}
+
+void ReadFaultPlan(const Json& arr, std::vector<FaultPlanEvent>* out,
+                   DiagnosticEngine* diags) {
+  // A fault_plan in a quick overlay replaces the full plan wholesale
+  // (merging timelines element-wise would be unintelligible).
+  out->clear();
+  for (const Json& entry : arr.array()) {
+    if (!entry.is_object()) {
+      diags->Error(entry.loc(),
+                   std::string("fault_plan entries expect object, got ") +
+                       entry.kind_name());
+      continue;
+    }
+    FaultPlanEvent e;
+    ReadFaultPlanEvent(entry, &e, diags);
+    out->push_back(e);
+  }
+}
 
 void ReadCluster(const Json& obj, ClusterSpec* s, DiagnosticEngine* diags) {
   FieldReader r(obj, diags);
-  SourceLoc preset_loc = obj.loc();
-  r.String("preset", &s->preset, &preset_loc);
-  if (r.Saw("preset")) {
-    bool ok = false;
-    for (const std::string& p : KnownPresets()) ok |= p == s->preset;
-    if (!ok) {
-      diags->Error(preset_loc, "unknown cluster preset '" + s->preset + "'" +
-                                   DidYouMeanSuffix(s->preset, KnownPresets()));
-    }
+  r.Fields(kFields<ClusterSpec>, s);
+  if (obj.Find("preset") != nullptr && !Contains(kPresets, s->preset)) {
+    diags->Error(ValueLoc(obj, "preset"),
+                 "unknown cluster preset '" + s->preset + "'" +
+                     DidYouMeanSuffix(s->preset, kPresets));
   }
-  r.Int("islands", &s->islands, 1);
-  r.Int("hosts_per_island", &s->hosts_per_island, 1);
-  r.Int("devices_per_host", &s->devices_per_host, 1);
-  r.OptDouble("host_jitter_frac", &s->host_jitter_frac, 0);
-  r.OptDouble("hbm_capacity_mib", &s->hbm_capacity_mib, 0);
-  r.OptDouble("host_dram_capacity_mib", &s->host_dram_capacity_mib, 0);
   if (const Json* flow = r.Object("ici_flow")) {
     FieldReader fr(*flow, diags);
-    fr.Bool("enabled", &s->ici_flow);
-    fr.Int("dims", &s->ici_flow_dims, 2);
+    fr.Fields(kIciFlowFields, s);
     if (s->ici_flow_dims > 3) {
       diags->Error(flow->KeyLoc("dims"), "key 'dims' must be 2 or 3");
     }
@@ -229,259 +428,96 @@ void ReadCluster(const Json& obj, ClusterSpec* s, DiagnosticEngine* diags) {
   }
   if (const Json* clos = r.Object("dcn_clos")) {
     FieldReader cr(*clos, diags);
-    cr.Bool("enabled", &s->dcn_clos);
-    cr.Int("hosts_per_leaf", &s->clos_hosts_per_leaf, 1);
-    cr.Int("num_spines", &s->clos_num_spines, 1);
-    cr.Double("oversubscription", &s->clos_oversubscription, 0);
+    cr.Fields(kDcnClosFields, s);
     cr.Finish();
   }
   r.Finish();
 }
 
-void ReadMultitenant(const Json& obj, MultitenantSpec* s,
-                     DiagnosticEngine* diags, bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("nominal_pod_per_sec", &s->nominal_pod_per_sec, 0);
-  r.Int("max_inflight_gangs", &s->max_inflight_gangs, 1);
-  r.Double("warmup_ms", &s->warmup_ms, 0);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Int("queue_capacity", &s->queue_capacity, 1);
-  r.Int("max_outstanding", &s->max_outstanding, 1);
-  r.Int("retry_max_attempts", &s->retry_max_attempts, 1);
-  r.Double("retry_initial_backoff_us", &s->retry_initial_backoff_us, 0);
-  r.Double("retry_max_backoff_ms", &s->retry_max_backoff_ms, 0);
-  r.Double("step_us", &s->step_us, 0);
-  r.I64("collective_bytes", &s->collective_bytes, 0);
-  r.I64("seed_base", &s->seed_base, 0);
-  r.Finish();
-}
-
-const std::vector<std::string>& KnownFaultKinds() {
-  static const std::vector<std::string> kKinds{"device_crash", "straggler",
-                                              "link_degrade", "partition"};
-  return kKinds;
-}
-
-// One fault_plan entry. Only the fields the kind uses are legal, so a
-// parsed event serializes back to exactly the keys it was written with.
-void ReadFaultPlanEvent(const Json& obj, FaultPlanEvent* e,
-                        DiagnosticEngine* diags) {
-  FieldReader r(obj, diags);
-  SourceLoc kind_loc = obj.loc();
-  r.String("kind", &e->kind, &kind_loc);
-  r.Double("at_ms", &e->at_ms, 0);
-  r.Double("window_ms", &e->window_ms, 0);
-  r.Int("device", &e->device, 0);
-  r.Int("host", &e->host, 0);
-  r.Double("severity", &e->severity);
-  r.Finish();
-
-  bool known = false;
-  for (const std::string& k : KnownFaultKinds()) known |= k == e->kind;
-  if (!known) {
-    diags->Error(kind_loc, "unknown fault kind '" + e->kind + "'" +
-                               DidYouMeanSuffix(e->kind, KnownFaultKinds()));
-    return;
-  }
-  const bool device_kind = e->kind == "device_crash" || e->kind == "straggler";
-  if (!device_kind && r.Saw("device")) {
-    diags->Error(obj.KeyLoc("device"),
-                 "'device' does not apply to kind '" + e->kind + "'");
-  }
-  if (device_kind && r.Saw("host")) {
-    diags->Error(obj.KeyLoc("host"),
-                 "'host' does not apply to kind '" + e->kind + "'");
-  }
-  if (e->kind == "straggler") {
-    if (e->severity < 1.0) {
-      diags->Error(obj.KeyLoc("severity"),
-                   "straggler 'severity' is a compute multiplier; "
-                   "it must be >= 1");
-    }
-  } else if (e->kind == "link_degrade") {
-    if (e->severity <= 0.0 || e->severity > 1.0) {
-      diags->Error(obj.KeyLoc("severity"),
-                   "link_degrade 'severity' is a bandwidth scale; "
-                   "it must be in (0, 1]");
-    }
-  } else if (r.Saw("severity")) {
-    diags->Error(obj.KeyLoc("severity"),
-                 "'severity' does not apply to kind '" + e->kind + "'");
-  }
-}
-
-void ReadFaults(const Json& obj, FaultsSpec* s, DiagnosticEngine* diags,
-                bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("min_window_ms", &s->min_window_ms, 0);
-  r.Double("max_window_ms", &s->max_window_ms, 0);
-  r.Int("link_degrades", &s->link_degrades, 0);
-  r.Bool("always_recover", &s->always_recover);
-  r.Int("retry_max_attempts", &s->retry_max_attempts, 1);
-  r.Double("retry_initial_backoff_us", &s->retry_initial_backoff_us, 0);
-  r.Double("step_us", &s->step_us, 0);
-  r.I64("collective_kib", &s->collective_kib, 0);
-  r.I64("seed_base", &s->seed_base, 0);
-  if (const Json* plan = r.Array("fault_plan")) {
-    // A fault_plan in a quick overlay replaces the full plan wholesale
-    // (merging timelines element-wise would be unintelligible).
-    s->fault_plan.clear();
-    for (const Json& entry : plan->array()) {
-      if (!entry.is_object()) {
-        diags->Error(entry.loc(),
-                     std::string("fault_plan entries expect object, got ") +
-                         entry.kind_name());
-        continue;
-      }
-      FaultPlanEvent e;
-      ReadFaultPlanEvent(entry, &e, diags);
-      s->fault_plan.push_back(e);
+// Cross-field rules a table cannot express, run after each table read
+// (full section and overlay alike).
+template <typename T>
+void CheckSpec(const Json& obj, const T& s, DiagnosticEngine* diags) {
+  if constexpr (std::is_same_v<T, FaultsSpec>) {
+    if (s.max_window_ms < s.min_window_ms) {
+      diags->Error(obj.KeyLoc("max_window_ms"),
+                   "'max_window_ms' must be >= 'min_window_ms'");
     }
   }
-  r.Finish();
-  if (s->max_window_ms < s->min_window_ms) {
-    diags->Error(obj.KeyLoc("max_window_ms"),
-                 "'max_window_ms' must be >= 'min_window_ms'");
+  if constexpr (std::is_same_v<T, DisaggSpec>) {
+    if (s.model != "decoder3b") {
+      diags->Error(ValueLoc(obj, "model"),
+                   "unknown model '" + s.model + "'; known models: decoder3b");
+    }
+  }
+  if constexpr (std::is_same_v<T, ServingSpec> ||
+                std::is_same_v<T, DisaggSpec>) {
+    if (s.max_prefill_tokens < s.min_prefill_tokens) {
+      diags->Error(obj.KeyLoc("max_prefill_tokens"),
+                   "'max_prefill_tokens' must be >= 'min_prefill_tokens'");
+    }
+    if (s.max_decode_tokens < s.min_decode_tokens) {
+      diags->Error(obj.KeyLoc("max_decode_tokens"),
+                   "'max_decode_tokens' must be >= 'min_decode_tokens'");
+    }
   }
 }
 
-void ReadOversub(const Json& obj, OversubSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
+// Reads one spec object: its table, unknown keys, then the cross-field
+// rules. Returns the section's "quick" overlay object when `has_overlay`.
+template <typename T>
+const Json* ReadSpec(const Json& obj, T* s, DiagnosticEngine* diags,
+                     bool has_overlay) {
   FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Int("tenants", &s->tenants, 1);
-  r.Double("weights_per_shard_mib", &s->weights_per_shard_mib, 0);
-  r.Double("output_per_shard_mib", &s->output_per_shard_mib, 0);
-  r.Double("working_headroom_mib", &s->working_headroom_mib, 0);
-  r.Int("requests_per_tenant", &s->requests_per_tenant, 1);
-  r.Double("step_us", &s->step_us, 0);
+  r.Fields(kFields<T>, s);
+  const Json* quick = has_overlay ? r.Object("quick") : nullptr;
   r.Finish();
+  CheckSpec(obj, *s, diags);
+  return quick;
 }
 
-void ReadServing(const Json& obj, ServingSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.I64("kv_bytes_per_token", &s->kv_bytes_per_token, 1);
-  r.Int("max_batch", &s->max_batch, 1);
-  r.Int("token_budget", &s->token_budget, 1);
-  r.Int("min_prefill_tokens", &s->min_prefill_tokens, 1);
-  r.Int("max_prefill_tokens", &s->max_prefill_tokens, 1);
-  r.Int("min_decode_tokens", &s->min_decode_tokens, 1);
-  r.Int("max_decode_tokens", &s->max_decode_tokens, 1);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("hbm_frac_of_working_set", &s->hbm_frac_of_working_set, 0);
-  r.Double("hbm_headroom_kib", &s->hbm_headroom_kib, 0);
-  r.I64("arrival_seed_base", &s->arrival_seed_base, 0);
-  r.I64("arrival_seed_stride", &s->arrival_seed_stride, 0);
-  r.I64("token_seed_base", &s->token_seed_base, 0);
-  r.Finish();
-  if (s->max_prefill_tokens < s->min_prefill_tokens) {
-    diags->Error(obj.KeyLoc("max_prefill_tokens"),
-                 "'max_prefill_tokens' must be >= 'min_prefill_tokens'");
-  }
-  if (s->max_decode_tokens < s->min_decode_tokens) {
-    diags->Error(obj.KeyLoc("max_decode_tokens"),
-                 "'max_decode_tokens' must be >= 'min_decode_tokens'");
-  }
-}
-
-void ReadDisagg(const Json& obj, DisaggSpec* s, DiagnosticEngine* diags,
-                bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  SourceLoc model_loc = obj.loc();
-  r.String("model", &s->model, &model_loc);
-  if (s->model != "decoder3b") {
-    diags->Error(model_loc,
-                 "unknown model '" + s->model + "'; known models: decoder3b");
-  }
-  r.Int("max_batch", &s->max_batch, 1);
-  r.Int("token_budget", &s->token_budget, 1);
-  r.Int("min_prefill_tokens", &s->min_prefill_tokens, 1);
-  r.Int("max_prefill_tokens", &s->max_prefill_tokens, 1);
-  r.Int("min_decode_tokens", &s->min_decode_tokens, 1);
-  r.Int("max_decode_tokens", &s->max_decode_tokens, 1);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("hbm_headroom_mib", &s->hbm_headroom_mib, 0);
-  r.I64("arrival_seed_base", &s->arrival_seed_base, 0);
-  r.I64("arrival_seed_stride", &s->arrival_seed_stride, 0);
-  r.I64("token_seed_base", &s->token_seed_base, 0);
-  r.Finish();
-}
-
-void ReadNetwork(const Json& obj, NetworkSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("message_mib", &s->message_mib, 0);
-  r.Int("hosts", &s->hosts, 2);
-  r.Int("hosts_per_leaf", &s->hosts_per_leaf, 1);
-  r.Int("num_spines", &s->num_spines, 1);
-  r.Finish();
-}
-
-void ReadFig12(const Json& obj, Fig12Spec* s, DiagnosticEngine* diags,
-               bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Int("steps", &s->steps, 1);
-  r.Int("chunks", &s->chunks, 1);
-  r.Int("max_inflight_gangs", &s->max_inflight_gangs, 1);
-  r.Int("model_parallel", &s->model_parallel, 1);
-  r.Finish();
-}
-
-template <typename T, typename ReadFn>
-void ReadSection(const Json& obj, WithQuick<T>* out, DiagnosticEngine* diags,
-                 ReadFn read) {
+template <typename T>
+void ReadSection(const Json& obj, WithQuick<T>* out, DiagnosticEngine* diags) {
   out->present = true;
   out->loc = obj.loc();
-  read(obj, &out->full, diags, /*overlay=*/false);
+  const Json* quick = ReadSpec(obj, &out->full, diags, /*has_overlay=*/true);
   out->quick = out->full;
-  if (const Json* q = obj.Find("quick")) {
-    if (!q->is_object()) {
-      diags->Error(q->loc(), std::string("key 'quick' expects object, got ") +
-                                 q->kind_name());
-      return;
-    }
-    read(*q, &out->quick, diags, /*overlay=*/true);
+  if (quick != nullptr) {
+    ReadSpec(*quick, &out->quick, diags, /*has_overlay=*/false);
   }
 }
 
 // --- Sweep axes ------------------------------------------------------------
 
-enum class AxisType { kInt, kDouble, kString };
-
-const char* AxisTypeName(AxisType t) {
-  switch (t) {
-    case AxisType::kInt: return "int";
-    case AxisType::kDouble: return "double";
-    case AxisType::kString: return "string";
+void WidenToDouble(std::vector<sweep::ParamValue>* values) {
+  for (sweep::ParamValue& v : *values) {
+    if (const auto* i = std::get_if<std::int64_t>(&v)) {
+      v = static_cast<double>(*i);
+    }
   }
-  return "?";
 }
 
 // Reads one "values"/"quick_values" array into ParamValues. Numeric arrays
 // mixing ints and doubles promote everything to double; otherwise elements
-// must agree in type. Returns the element type via *type.
+// must agree in kind (KindOfValue of any element).
 bool ReadAxisValues(const Json& arr, const char* key,
-                    std::vector<sweep::ParamValue>* out, AxisType* type,
+                    std::vector<sweep::ParamValue>* out,
                     DiagnosticEngine* diags) {
   if (arr.array().empty()) {
     diags->Error(arr.loc(), std::string("'") + key + "' must not be empty");
     return false;
   }
-  bool any_double = false, any_int = false, any_string = false;
+  out->clear();
+  bool any_int = false, any_double = false, any_string = false;
   for (const Json& v : arr.array()) {
     if (v.is_int()) {
+      out->emplace_back(v.int_value());
       any_int = true;
     } else if (v.is_double()) {
+      out->emplace_back(v.number_value());
       any_double = true;
     } else if (v.is_string()) {
+      out->emplace_back(v.string_value());
       any_string = true;
     } else {
       diags->Error(v.loc(), std::string("'") + key +
@@ -495,18 +531,7 @@ bool ReadAxisValues(const Json& arr, const char* key,
                                 "' mixes strings and numbers");
     return false;
   }
-  out->clear();
-  for (const Json& v : arr.array()) {
-    if (any_string) {
-      out->emplace_back(v.string_value());
-    } else if (any_double) {
-      out->emplace_back(v.number_value());
-    } else {
-      out->emplace_back(v.int_value());
-    }
-  }
-  *type = any_string ? AxisType::kString
-                     : (any_double ? AxisType::kDouble : AxisType::kInt);
+  if (any_double) WidenToDouble(out);
   return true;
 }
 
@@ -550,29 +575,27 @@ void ReadSweep(const Json& obj, Scenario* out, DiagnosticEngine* diags) {
                    "axis '" + axis.name + "' requires a 'values' array");
       continue;
     }
-    AxisType type = AxisType::kInt;
-    if (!ReadAxisValues(*values, "values", &axis.values, &type, diags)) {
-      continue;
-    }
+    if (!ReadAxisValues(*values, "values", &axis.values, diags)) continue;
     if (quick != nullptr) {
-      AxisType qtype = AxisType::kInt;
-      if (!ReadAxisValues(*quick, "quick_values", &axis.quick_values, &qtype,
+      if (!ReadAxisValues(*quick, "quick_values", &axis.quick_values,
                           diags)) {
         continue;
       }
-      // Numeric widening keeps [1, 2] usable as quick values of a double
-      // axis; everything else must agree.
-      if (qtype == AxisType::kInt && type == AxisType::kDouble) {
-        for (sweep::ParamValue& v : axis.quick_values) {
-          v = static_cast<double>(std::get<std::int64_t>(v));
-        }
-        qtype = AxisType::kDouble;
+      // Numeric widening is symmetric: when either array is double, whole
+      // numbers in both promote ([1, 4] beside [0.5] and the reverse both
+      // parse); strings must agree.
+      if (KindOfValue(axis.values.front()) == AxisKind::kDouble ||
+          KindOfValue(axis.quick_values.front()) == AxisKind::kDouble) {
+        WidenToDouble(&axis.values);
+        WidenToDouble(&axis.quick_values);
       }
-      if (qtype != type) {
+      const AxisKind kind = KindOfValue(axis.values.front());
+      const AxisKind qkind = KindOfValue(axis.quick_values.front());
+      if (qkind != kind) {
         diags->Error(quick->loc(),
                      "axis '" + axis.name + "': 'quick_values' are " +
-                         AxisTypeName(qtype) + " but 'values' are " +
-                         AxisTypeName(type));
+                         AxisKindName(qkind) + " but 'values' are " +
+                         AxisKindName(kind));
         continue;
       }
     }
@@ -610,285 +633,147 @@ class JsonWriter {
   std::string Take() { return std::move(out_); }
 
   void BeginObject() {
-    Value("{");
+    out_ += "{";
     stack_.push_back(true);
   }
-  void EndObject() {
-    stack_.pop_back();
-    NewLine();
-    out_ += "}";
-  }
+  void EndObject() { Close("}"); }
   void Key(const std::string& k) {
-    if (!stack_.back()) out_ += ",";
-    stack_.back() = false;
-    NewLine();
+    NextElement();
     out_ += sweep::JsonQuote(k);
     out_ += ": ";
   }
-  void String(const std::string& v) {
-    Value(sweep::JsonQuote(v));
-  }
-  void Int(std::int64_t v) { Value(std::to_string(v)); }
-  void Double(double v) { Value(FormatCanonicalDouble(v)); }
-  void Bool(bool v) { Value(v ? "true" : "false"); }
-  void Raw(const std::string& v) { Value(v); }
+  void String(const std::string& v) { out_ += sweep::JsonQuote(v); }
+  void Int(std::int64_t v) { out_ += std::to_string(v); }
+  void Double(double v) { out_ += FormatCanonicalDouble(v); }
+  void Bool(bool v) { out_ += v ? "true" : "false"; }
 
   void InlineArray(const std::vector<sweep::ParamValue>& values) {
-    std::string s = "[";
+    out_ += "[";
     for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) s += ", ";
-      s += FormatParamValue(values[i]);
+      if (i > 0) out_ += ", ";
+      out_ += FormatParamValue(values[i]);
     }
-    s += "]";
-    Value(s);
-  }
-
-  // Array of objects, one object per element, emitted via `fn`.
-  template <typename It, typename Fn>
-  void ObjectArray(It begin, It end, Fn fn) {
-    Value("[");
-    bool first = true;
-    stack_.push_back(true);
-    for (It it = begin; it != end; ++it) {
-      if (!first) out_ += ",";
-      first = false;
-      NewLine();
-      fn(*it);
-    }
-    stack_.pop_back();
-    NewLine();
     out_ += "]";
   }
 
+  // Array of objects, one object per element, emitted via `fn`.
+  template <typename E, typename Fn>
+  void ObjectArray(const std::vector<E>& items, Fn fn) {
+    out_ += "[";
+    stack_.push_back(true);
+    for (const E& item : items) {
+      NextElement();
+      fn(item);
+    }
+    Close("]");
+  }
+
  private:
-  // Starts a new line indented to the current nesting depth. Appends piece
-  // by piece: GCC 12 at -O3 reports a false -Wrestrict on
-  // `"\n" + std::string` temporaries.
+  // Comma after the previous element, then a new line indented to the
+  // current nesting depth. Appends piece by piece: GCC 12 at -O3 reports a
+  // false -Wrestrict on `"\n" + std::string` temporaries.
+  void NextElement() {
+    if (!stack_.back()) out_ += ",";
+    stack_.back() = false;
+    NewLine();
+  }
   void NewLine() {
     out_ += '\n';
     out_.append(2 * stack_.size(), ' ');
   }
-  void Value(const std::string& v) { out_ += v; }
+  void Close(const char* bracket) {
+    stack_.pop_back();
+    NewLine();
+    out_ += bracket;
+  }
 
   std::string out_;
-  std::vector<bool> stack_;  // per level: no member emitted yet
+  std::vector<bool> stack_;  // per level: no element emitted yet
 };
 
-// Emits `key: value` only when no baseline is given or the value differs
-// from it — quick overlays canonicalize to their diff vs the full spec.
-template <typename T, typename EmitFn>
-void Diffed(JsonWriter* w, const char* key, const T& value, const T* base,
-            EmitFn emit) {
-  if (base != nullptr && value == *base) return;
-  w->Key(key);
-  emit(value);
+void EmitFaultPlan(JsonWriter* w, const std::vector<FaultPlanEvent>& plan);
+
+// Unset optionals and empty lists are left out of a full spec.
+template <typename V>
+bool IsUnset(const V&) {
+  return false;
+}
+bool IsUnset(const std::optional<double>& v) { return !v.has_value(); }
+bool IsUnset(const std::vector<FaultPlanEvent>& v) { return v.empty(); }
+
+// Emits `key: value` for one row. Against a baseline only a differing value
+// is emitted, so quick overlays canonicalize to their diff vs the full spec
+// (an emptied fault_plan included).
+template <typename T>
+void EmitField(JsonWriter* w, const Field<T>& f, const T& s,
+               const T* base = nullptr) {
+  std::visit(
+      [&](auto member) {
+        const auto& v = s.*member;
+        using V = std::remove_cvref_t<decltype(v)>;
+        if (base != nullptr ? v == base->*member : IsUnset(v)) return;
+        w->Key(f.key);
+        if constexpr (std::is_same_v<V, bool>) {
+          w->Bool(v);
+        } else if constexpr (std::is_integral_v<V>) {
+          w->Int(v);
+        } else if constexpr (std::is_same_v<V, double>) {
+          w->Double(v);
+        } else if constexpr (std::is_same_v<V, std::optional<double>>) {
+          w->Double(v.value());
+        } else if constexpr (std::is_same_v<V, std::string>) {
+          w->String(v);
+        } else {
+          EmitFaultPlan(w, v);
+        }
+      },
+      f.member);
 }
 
-void EmitInt(JsonWriter* w, const char* key, std::int64_t v,
-             const std::int64_t* base) {
-  Diffed(w, key, v, base, [w](std::int64_t x) { w->Int(x); });
-}
-void EmitInt(JsonWriter* w, const char* key, int v, const int* base) {
-  Diffed(w, key, v, base, [w](int x) { w->Int(x); });
-}
-void EmitDouble(JsonWriter* w, const char* key, double v, const double* base) {
-  Diffed(w, key, v, base, [w](double x) { w->Double(x); });
-}
-void EmitBool(JsonWriter* w, const char* key, bool v, const bool* base) {
-  Diffed(w, key, v, base, [w](bool x) { w->Bool(x); });
-}
-void EmitString(JsonWriter* w, const char* key, const std::string& v,
-                const std::string* base) {
-  Diffed(w, key, v, base, [w](const std::string& x) { w->String(x); });
+template <typename T>
+void EmitFields(JsonWriter* w, const FieldTable<T>& table, const T& s,
+                const T* base = nullptr) {
+  for (const Field<T>& f : table) EmitField(w, f, s, base);
 }
 
-#define PW_EMIT_INT(field) EmitInt(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_DOUBLE(field) \
-  EmitDouble(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_BOOL(field) \
-  EmitBool(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_STRING(field) \
-  EmitString(w, #field, s.field, base ? &base->field : nullptr)
-
-void EmitMultitenant(JsonWriter* w, const MultitenantSpec& s,
-                     const MultitenantSpec* base) {
-  PW_EMIT_DOUBLE(nominal_pod_per_sec);
-  PW_EMIT_INT(max_inflight_gangs);
-  PW_EMIT_DOUBLE(warmup_ms);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_INT(queue_capacity);
-  PW_EMIT_INT(max_outstanding);
-  PW_EMIT_INT(retry_max_attempts);
-  PW_EMIT_DOUBLE(retry_initial_backoff_us);
-  PW_EMIT_DOUBLE(retry_max_backoff_ms);
-  PW_EMIT_DOUBLE(step_us);
-  PW_EMIT_INT(collective_bytes);
-  PW_EMIT_INT(seed_base);
+void EmitFaultPlan(JsonWriter* w, const std::vector<FaultPlanEvent>& plan) {
+  w->ObjectArray(plan, [w](const FaultPlanEvent& e) {
+    w->BeginObject();
+    for (const Field<FaultPlanEvent>& f : kFields<FaultPlanEvent>) {
+      if (AppliesTo(e.kind, f.key)) EmitField(w, f, e);
+    }
+    w->EndObject();
+  });
 }
 
-void EmitFaults(JsonWriter* w, const FaultsSpec& s, const FaultsSpec* base) {
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(min_window_ms);
-  PW_EMIT_DOUBLE(max_window_ms);
-  PW_EMIT_INT(link_degrades);
-  PW_EMIT_BOOL(always_recover);
-  PW_EMIT_INT(retry_max_attempts);
-  PW_EMIT_DOUBLE(retry_initial_backoff_us);
-  PW_EMIT_DOUBLE(step_us);
-  PW_EMIT_INT(collective_kib);
-  PW_EMIT_INT(seed_base);
-  // Only the keys the kind accepts are emitted, mirroring what the parser
-  // admits, so parse -> serialize stays a fixed point.
-  const bool plan_differs =
-      base != nullptr ? !(s.fault_plan == base->fault_plan)
-                      : !s.fault_plan.empty();
-  if (plan_differs) {
-    w->Key("fault_plan");
-    w->ObjectArray(s.fault_plan.begin(), s.fault_plan.end(),
-                   [w](const FaultPlanEvent& e) {
-                     w->BeginObject();
-                     w->Key("kind");
-                     w->String(e.kind);
-                     w->Key("at_ms");
-                     w->Double(e.at_ms);
-                     w->Key("window_ms");
-                     w->Double(e.window_ms);
-                     if (e.kind == "device_crash" || e.kind == "straggler") {
-                       w->Key("device");
-                       w->Int(e.device);
-                     } else {
-                       w->Key("host");
-                       w->Int(e.host);
-                     }
-                     if (e.kind == "straggler" || e.kind == "link_degrade") {
-                       w->Key("severity");
-                       w->Double(e.severity);
-                     }
-                     w->EndObject();
-                   });
+// A nested cluster block is written only when a field leaves its default.
+void EmitClusterBlock(JsonWriter* w, const char* key,
+                      const FieldTable<ClusterSpec>& table,
+                      const ClusterSpec& c) {
+  const ClusterSpec defaults;
+  bool set = false;
+  for (const Field<ClusterSpec>& f : table) {
+    set |= std::visit([&](auto m) { return !(c.*m == defaults.*m); },
+                      f.member);
   }
+  if (!set) return;
+  w->Key(key);
+  w->BeginObject();
+  EmitFields(w, table, c);
+  w->EndObject();
 }
 
-void EmitOversub(JsonWriter* w, const OversubSpec& s, const OversubSpec* base) {
-  PW_EMIT_INT(tenants);
-  PW_EMIT_DOUBLE(weights_per_shard_mib);
-  PW_EMIT_DOUBLE(output_per_shard_mib);
-  PW_EMIT_DOUBLE(working_headroom_mib);
-  PW_EMIT_INT(requests_per_tenant);
-  PW_EMIT_DOUBLE(step_us);
-}
-
-void EmitServing(JsonWriter* w, const ServingSpec& s, const ServingSpec* base) {
-  PW_EMIT_INT(kv_bytes_per_token);
-  PW_EMIT_INT(max_batch);
-  PW_EMIT_INT(token_budget);
-  PW_EMIT_INT(min_prefill_tokens);
-  PW_EMIT_INT(max_prefill_tokens);
-  PW_EMIT_INT(min_decode_tokens);
-  PW_EMIT_INT(max_decode_tokens);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(hbm_frac_of_working_set);
-  PW_EMIT_DOUBLE(hbm_headroom_kib);
-  PW_EMIT_INT(arrival_seed_base);
-  PW_EMIT_INT(arrival_seed_stride);
-  PW_EMIT_INT(token_seed_base);
-}
-
-void EmitDisagg(JsonWriter* w, const DisaggSpec& s, const DisaggSpec* base) {
-  PW_EMIT_STRING(model);
-  PW_EMIT_INT(max_batch);
-  PW_EMIT_INT(token_budget);
-  PW_EMIT_INT(min_prefill_tokens);
-  PW_EMIT_INT(max_prefill_tokens);
-  PW_EMIT_INT(min_decode_tokens);
-  PW_EMIT_INT(max_decode_tokens);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(hbm_headroom_mib);
-  PW_EMIT_INT(arrival_seed_base);
-  PW_EMIT_INT(arrival_seed_stride);
-  PW_EMIT_INT(token_seed_base);
-}
-
-void EmitNetwork(JsonWriter* w, const NetworkSpec& s, const NetworkSpec* base) {
-  PW_EMIT_DOUBLE(message_mib);
-  PW_EMIT_INT(hosts);
-  PW_EMIT_INT(hosts_per_leaf);
-  PW_EMIT_INT(num_spines);
-}
-
-void EmitFig12(JsonWriter* w, const Fig12Spec& s, const Fig12Spec* base) {
-  PW_EMIT_INT(steps);
-  PW_EMIT_INT(chunks);
-  PW_EMIT_INT(max_inflight_gangs);
-  PW_EMIT_INT(model_parallel);
-}
-
-#undef PW_EMIT_INT
-#undef PW_EMIT_DOUBLE
-#undef PW_EMIT_BOOL
-#undef PW_EMIT_STRING
-
-// Spec equality, used only to decide whether a quick overlay exists.
-#define PW_EQ(field) a.field == b.field
-bool SpecEq(const MultitenantSpec& a, const MultitenantSpec& b) {
-  return PW_EQ(nominal_pod_per_sec) &&
-         PW_EQ(max_inflight_gangs) && PW_EQ(warmup_ms) && PW_EQ(horizon_ms) &&
-         PW_EQ(queue_capacity) && PW_EQ(max_outstanding) &&
-         PW_EQ(retry_max_attempts) && PW_EQ(retry_initial_backoff_us) &&
-         PW_EQ(retry_max_backoff_ms) && PW_EQ(step_us) &&
-         PW_EQ(collective_bytes) && PW_EQ(seed_base);
-}
-bool SpecEq(const FaultsSpec& a, const FaultsSpec& b) {
-  return PW_EQ(horizon_ms) && PW_EQ(min_window_ms) && PW_EQ(max_window_ms) &&
-         PW_EQ(link_degrades) && PW_EQ(always_recover) &&
-         PW_EQ(retry_max_attempts) && PW_EQ(retry_initial_backoff_us) &&
-         PW_EQ(step_us) && PW_EQ(collective_kib) && PW_EQ(seed_base) &&
-         PW_EQ(fault_plan);
-}
-bool SpecEq(const OversubSpec& a, const OversubSpec& b) {
-  return PW_EQ(tenants) && PW_EQ(weights_per_shard_mib) &&
-         PW_EQ(output_per_shard_mib) && PW_EQ(working_headroom_mib) &&
-         PW_EQ(requests_per_tenant) && PW_EQ(step_us);
-}
-bool SpecEq(const ServingSpec& a, const ServingSpec& b) {
-  return PW_EQ(kv_bytes_per_token) && PW_EQ(max_batch) &&
-         PW_EQ(token_budget) && PW_EQ(min_prefill_tokens) &&
-         PW_EQ(max_prefill_tokens) && PW_EQ(min_decode_tokens) &&
-         PW_EQ(max_decode_tokens) && PW_EQ(horizon_ms) &&
-         PW_EQ(hbm_frac_of_working_set) && PW_EQ(hbm_headroom_kib) &&
-         PW_EQ(arrival_seed_base) && PW_EQ(arrival_seed_stride) &&
-         PW_EQ(token_seed_base);
-}
-bool SpecEq(const NetworkSpec& a, const NetworkSpec& b) {
-  return PW_EQ(message_mib) && PW_EQ(hosts) && PW_EQ(hosts_per_leaf) &&
-         PW_EQ(num_spines);
-}
-bool SpecEq(const Fig12Spec& a, const Fig12Spec& b) {
-  return PW_EQ(steps) && PW_EQ(chunks) && PW_EQ(max_inflight_gangs) &&
-         PW_EQ(model_parallel);
-}
-bool SpecEq(const DisaggSpec& a, const DisaggSpec& b) {
-  return PW_EQ(model) && PW_EQ(max_batch) && PW_EQ(token_budget) &&
-         PW_EQ(min_prefill_tokens) && PW_EQ(max_prefill_tokens) &&
-         PW_EQ(min_decode_tokens) && PW_EQ(max_decode_tokens) &&
-         PW_EQ(horizon_ms) && PW_EQ(hbm_headroom_mib) &&
-         PW_EQ(arrival_seed_base) && PW_EQ(arrival_seed_stride) &&
-         PW_EQ(token_seed_base);
-}
-#undef PW_EQ
-
-template <typename T, typename EmitFn>
-void EmitSection(JsonWriter* w, const char* key, const WithQuick<T>& section,
-                 EmitFn emit) {
+template <typename T>
+void EmitSection(JsonWriter* w, const char* key, const WithQuick<T>& section) {
   if (!section.present) return;
   w->Key(key);
   w->BeginObject();
-  emit(w, section.full, static_cast<const T*>(nullptr));
+  EmitFields(w, kFields<T>, section.full);
   // The quick overlay reduces to its diff vs the full spec; omit when empty.
-  if (!SpecEq(section.quick, section.full)) {
+  if (section.quick != section.full) {
     w->Key("quick");
     w->BeginObject();
-    emit(w, section.quick, &section.full);
+    EmitFields(w, kFields<T>, section.quick, &section.full);
     w->EndObject();
   }
   w->EndObject();
@@ -918,63 +803,19 @@ std::string Scenario::Serialize() const {
 
   w.Key("cluster");
   w.BeginObject();
-  w.Key("preset");
-  w.String(cluster.preset);
-  w.Key("islands");
-  w.Int(cluster.islands);
-  w.Key("hosts_per_island");
-  w.Int(cluster.hosts_per_island);
-  w.Key("devices_per_host");
-  w.Int(cluster.devices_per_host);
-  if (cluster.host_jitter_frac) {
-    w.Key("host_jitter_frac");
-    w.Double(*cluster.host_jitter_frac);
-  }
-  if (cluster.hbm_capacity_mib) {
-    w.Key("hbm_capacity_mib");
-    w.Double(*cluster.hbm_capacity_mib);
-  }
-  if (cluster.host_dram_capacity_mib) {
-    w.Key("host_dram_capacity_mib");
-    w.Double(*cluster.host_dram_capacity_mib);
-  }
-  if (cluster.ici_flow || cluster.ici_flow_dims != 2) {
-    w.Key("ici_flow");
-    w.BeginObject();
-    w.Key("enabled");
-    w.Bool(cluster.ici_flow);
-    w.Key("dims");
-    w.Int(cluster.ici_flow_dims);
-    w.EndObject();
-  }
-  if (cluster.dcn_clos || cluster.clos_hosts_per_leaf != 8 ||
-      cluster.clos_num_spines != 4 || cluster.clos_oversubscription != 1.0) {
-    w.Key("dcn_clos");
-    w.BeginObject();
-    w.Key("enabled");
-    w.Bool(cluster.dcn_clos);
-    w.Key("hosts_per_leaf");
-    w.Int(cluster.clos_hosts_per_leaf);
-    w.Key("num_spines");
-    w.Int(cluster.clos_num_spines);
-    w.Key("oversubscription");
-    w.Double(cluster.clos_oversubscription);
-    w.EndObject();
-  }
+  EmitFields(&w, kFields<ClusterSpec>, cluster);
+  EmitClusterBlock(&w, "ici_flow", kIciFlowFields, cluster);
+  EmitClusterBlock(&w, "dcn_clos", kDcnClosFields, cluster);
   w.EndObject();
 
-  EmitSection(&w, "multitenant", multitenant, EmitMultitenant);
-  EmitSection(&w, "faults", faults, EmitFaults);
-  EmitSection(&w, "oversub", oversub, EmitOversub);
-  EmitSection(&w, "serving", serving, EmitServing);
-  EmitSection(&w, "serving_disagg", disagg, EmitDisagg);
-  EmitSection(&w, "network", network, EmitNetwork);
-  EmitSection(&w, "fig12_twoisland", fig12, EmitFig12);
+  ForEachSection([&](const auto& section) {
+    EmitSection(&w, section.key, this->*section.member);
+  });
 
   w.Key("sweep");
   w.BeginObject();
   w.Key("axes");
-  w.ObjectArray(sweep.begin(), sweep.end(), [&w](const SweepAxis& axis) {
+  w.ObjectArray(sweep, [&w](const SweepAxis& axis) {
     w.BeginObject();
     w.Key("name");
     w.String(axis.name);
@@ -1012,14 +853,18 @@ bool ParseScenario(const std::string& text, Scenario* out,
   r.String("description", &out->description);
   const Json* cluster = r.Object("cluster");
   const Json* sweep_obj = r.Object("sweep");
-  const Json* mt = r.Object("multitenant");
-  const Json* fl = r.Object("faults");
-  const Json* ov = r.Object("oversub");
-  const Json* sv = r.Object("serving");
-  const Json* dg = r.Object("serving_disagg");
-  const Json* nw = r.Object("network");
-  const Json* fg = r.Object("fig12_twoisland");
+  std::vector<std::string> families;
+  ForEachSection([&](const auto& section) {
+    r.Object(section.key);
+    families.emplace_back(section.key);
+  });
   r.Finish();
+  // A section's object, or nullptr when absent or mistyped (Finish above
+  // reported the latter).
+  const auto section_obj = [&root](const char* key) -> const Json* {
+    const Json* v = root.Find(key);
+    return v != nullptr && v->is_object() ? v : nullptr;
+  };
 
   if (out->name.empty()) {
     diags->Error(root.loc(), "scenario requires a non-empty 'name'");
@@ -1037,44 +882,27 @@ bool ParseScenario(const std::string& text, Scenario* out,
   }
   if (out->family.empty()) {
     diags->Error(root.loc(), "scenario requires a 'family'");
-  } else {
-    bool known = false;
-    for (const std::string& f : KnownFamilies()) known |= f == out->family;
-    if (!known) {
-      diags->Error(out->family_loc,
-                   "unknown family '" + out->family + "'" +
-                       DidYouMeanSuffix(out->family, KnownFamilies()));
-    }
+  } else if (!Contains(families, out->family)) {
+    diags->Error(out->family_loc,
+                 "unknown family '" + out->family + "'" +
+                     DidYouMeanSuffix(out->family, families));
   }
 
   if (cluster != nullptr) ReadCluster(*cluster, &out->cluster, diags);
-  if (mt != nullptr) ReadSection(*mt, &out->multitenant, diags, ReadMultitenant);
-  if (fl != nullptr) ReadSection(*fl, &out->faults, diags, ReadFaults);
-  if (ov != nullptr) ReadSection(*ov, &out->oversub, diags, ReadOversub);
-  if (sv != nullptr) ReadSection(*sv, &out->serving, diags, ReadServing);
-  if (dg != nullptr) ReadSection(*dg, &out->disagg, diags, ReadDisagg);
-  if (nw != nullptr) ReadSection(*nw, &out->network, diags, ReadNetwork);
-  if (fg != nullptr) ReadSection(*fg, &out->fig12, diags, ReadFig12);
-
+  ForEachSection([&](const auto& section) {
+    if (const Json* obj = section_obj(section.key)) {
+      ReadSection(*obj, &(out->*section.member), diags);
+    }
+  });
   // A section for a family this scenario does not run is almost certainly a
   // mistake (its knobs would be silently ignored).
-  struct SectionRef {
-    const char* key;
-    const Json* obj;
-  };
-  for (const SectionRef& s : {SectionRef{"multitenant", mt},
-                              SectionRef{"faults", fl},
-                              SectionRef{"oversub", ov},
-                              SectionRef{"serving", sv},
-                              SectionRef{"serving_disagg", dg},
-                              SectionRef{"network", nw},
-                              SectionRef{"fig12_twoisland", fg}}) {
-    if (s.obj != nullptr && out->family != s.key) {
-      diags->Error(root.KeyLoc(s.key),
-                   std::string("section '") + s.key +
+  ForEachSection([&](const auto& section) {
+    if (section_obj(section.key) != nullptr && out->family != section.key) {
+      diags->Error(root.KeyLoc(section.key),
+                   std::string("section '") + section.key +
                        "' does not match family '" + out->family + "'");
     }
-  }
+  });
 
   if (sweep_obj == nullptr) {
     if (root.Find("sweep") == nullptr) {

@@ -82,6 +82,17 @@ struct MultitenantSpec {
   double step_us = 330;
   std::int64_t collective_bytes = 64;
   std::int64_t seed_base = 0xC0FFEE;
+
+  bool operator==(const MultitenantSpec&) const = default;
+};
+
+// Where a parsed value came from, kept for diagnostics raised after parsing.
+// Not part of the value: any two compare equal, so a defaulted operator== on
+// the struct carrying one stays value equality.
+struct Provenance {
+  SourceLoc loc;
+
+  bool operator==(const Provenance&) const { return true; }
 };
 
 // One entry in a declarative fault timeline. `kind` selects which target
@@ -98,12 +109,10 @@ struct FaultPlanEvent {
   int device = 0;
   int host = 0;
   double severity = 1.0;
+  // The entry's device (or host) key, for ValidateForFamily's range check.
+  Provenance target;
 
-  friend bool operator==(const FaultPlanEvent& a, const FaultPlanEvent& b) {
-    return a.kind == b.kind && a.at_ms == b.at_ms &&
-           a.window_ms == b.window_ms && a.device == b.device &&
-           a.host == b.host && a.severity == b.severity;
-  }
+  bool operator==(const FaultPlanEvent&) const = default;
 };
 
 // family "faults": crash/straggler/degrade injection vs a per-point
@@ -126,6 +135,8 @@ struct FaultsSpec {
   std::int64_t collective_kib = 64;
   std::int64_t seed_base = 0x5eed;
   std::vector<FaultPlanEvent> fault_plan;
+
+  bool operator==(const FaultsSpec&) const = default;
 };
 
 // family "oversub": tenants' working sets vs scaled-down HBM through the
@@ -137,6 +148,8 @@ struct OversubSpec {
   double working_headroom_mib = 64;
   int requests_per_tenant = 24;
   double step_us = 300;
+
+  bool operator==(const OversubSpec&) const = default;
 };
 
 // family "serving": continuous vs static batching under KV budgets
@@ -155,6 +168,8 @@ struct ServingSpec {
   std::int64_t arrival_seed_base = 11;
   std::int64_t arrival_seed_stride = 17;
   std::int64_t token_seed_base = 101;
+
+  bool operator==(const ServingSpec&) const = default;
 };
 
 // family "serving_disagg": prefill/decode split across islands with
@@ -172,6 +187,8 @@ struct DisaggSpec {
   std::int64_t arrival_seed_base = 11;
   std::int64_t arrival_seed_stride = 17;
   std::int64_t token_seed_base = 101;
+
+  bool operator==(const DisaggSpec&) const = default;
 };
 
 // family "network": contended flow-level Clos DCN vs the abstract per-NIC
@@ -182,6 +199,8 @@ struct NetworkSpec {
   int hosts = 32;
   int hosts_per_leaf = 8;
   int num_spines = 4;
+
+  bool operator==(const NetworkSpec&) const = default;
 };
 
 // family "fig12_twoisland": Figure 12 / §5.3 — data-parallel training over
@@ -193,6 +212,8 @@ struct Fig12Spec {
   int chunks = 8;
   int max_inflight_gangs = 64;
   int model_parallel = 32;  // single-island SPMD arm
+
+  bool operator==(const Fig12Spec&) const = default;
 };
 
 // --- Sweep grid ------------------------------------------------------------

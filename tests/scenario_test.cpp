@@ -2,7 +2,9 @@
 // canonical serialization round-trips, family validation, thread-count
 // determinism of RunScenario, and the path-addressed result store's glob
 // queries (docs/SCENARIOS.md).
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -176,6 +178,26 @@ TEST(ScenarioParse, WholeNumberValuesPromoteOnDoubleAxes) {
   ASSERT_EQ(points.size(), 2u);
   EXPECT_DOUBLE_EQ(points[0].GetDouble("rate_scale"), 1.0);
   EXPECT_DOUBLE_EQ(points[1].GetDouble("rate_scale"), 4.0);
+
+  // Widening is symmetric: whole-number 'values' beside double
+  // 'quick_values' promote too, as the reverse pairing always did.
+  const std::string mixed =
+      "{ \"name\": \"t\", \"family\": \"multitenant\",\n"
+      "  \"sweep\": { \"axes\": [\n"
+      "    { \"name\": \"clients\", \"values\": [2] },\n"
+      "    { \"name\": \"rate_scale\", \"values\": [1, 4],"
+      " \"quick_values\": [0.5] },\n"
+      "    { \"name\": \"policy\", \"values\": [\"drop-tail\"] } ] } }\n";
+  diags = DiagnosticEngine("test.json", mixed);
+  ASSERT_TRUE(ParseScenario(mixed, &s, &diags)) << diags.Render();
+  ASSERT_TRUE(ValidateForFamily(&s, &diags)) << diags.Render();
+  const auto full = s.Grid(false).Points();
+  ASSERT_EQ(full.size(), 2u);
+  EXPECT_DOUBLE_EQ(full[0].GetDouble("rate_scale"), 1.0);
+  EXPECT_DOUBLE_EQ(full[1].GetDouble("rate_scale"), 4.0);
+  const auto quick = s.Grid(true).Points();
+  ASSERT_EQ(quick.size(), 1u);
+  EXPECT_DOUBLE_EQ(quick[0].GetDouble("rate_scale"), 0.5);
 }
 
 // --- declarative fault plans ----------------------------------------------
@@ -267,6 +289,58 @@ TEST(ScenarioFaultPlan, AxisDerivedPlansStillValidateWithDeprecationNote) {
   EXPECT_TRUE(noted) << diags.Render();
 }
 
+TEST(ScenarioFaultPlan, RejectsTargetsOutsideTheSmallestIsland) {
+  // island_devices 4 (the quick value) is one host of four devices, so
+  // device 4 and host 1 do not exist there; the injector would abort the
+  // run. Validation reports each on the entry's target key.
+  const std::string text =
+      "{ \"name\": \"t\", \"family\": \"faults\",\n"
+      "  \"faults\": { \"fault_plan\": [\n"
+      "    { \"kind\": \"device_crash\", \"at_ms\": 1, \"window_ms\": 1,"
+      " \"device\": 3 },\n"
+      "    { \"kind\": \"straggler\", \"at_ms\": 1, \"window_ms\": 1,"
+      " \"device\": 4, \"severity\": 2 },\n"
+      "    { \"kind\": \"partition\", \"at_ms\": 1, \"window_ms\": 1,"
+      " \"host\": 1 } ] },\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"island_devices\","
+      " \"values\": [8, 16], \"quick_values\": [4] } ] } }\n";
+  Scenario s;
+  DiagnosticEngine diags("test.json", text);
+  ASSERT_TRUE(ParseScenario(text, &s, &diags)) << diags.Render();
+  EXPECT_FALSE(ValidateForFamily(&s, &diags));
+  ASSERT_EQ(diags.num_errors(), 2u) << diags.Render();
+  const Diagnostic& device = diags.diagnostics()[0];
+  EXPECT_NE(device.message.find("device 4 is out of range"),
+            std::string::npos)
+      << device.message;
+  EXPECT_EQ(device.loc.line, 4);
+  const std::size_t key = text.find("\"device\": 4");
+  EXPECT_EQ(device.loc.col, static_cast<int>(key - text.rfind('\n', key)));
+  const Diagnostic& host = diags.diagnostics()[1];
+  EXPECT_NE(host.message.find("host 1 is out of range"), std::string::npos)
+      << host.message;
+  EXPECT_EQ(host.loc.line, 5);
+
+  // A quick overlay's own plan is checked too.
+  const std::string overlay =
+      "{ \"name\": \"t\", \"family\": \"faults\",\n"
+      "  \"faults\": { \"fault_plan\": [\n"
+      "    { \"kind\": \"device_crash\", \"at_ms\": 1, \"window_ms\": 1,"
+      " \"device\": 3 } ],\n"
+      "    \"quick\": { \"fault_plan\": [\n"
+      "      { \"kind\": \"device_crash\", \"at_ms\": 1, \"window_ms\": 1,"
+      " \"device\": 9 } ] } },\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"island_devices\","
+      " \"values\": [4] } ] } }\n";
+  diags = DiagnosticEngine("test.json", overlay);
+  ASSERT_TRUE(ParseScenario(overlay, &s, &diags)) << diags.Render();
+  EXPECT_FALSE(ValidateForFamily(&s, &diags));
+  ASSERT_EQ(diags.num_errors(), 1u) << diags.Render();
+  EXPECT_NE(diags.diagnostics()[0].message.find("device 9"),
+            std::string::npos);
+  EXPECT_EQ(diags.diagnostics()[0].loc.line, 5);
+}
+
 // --- canonical serialization ----------------------------------------------
 
 std::string ReadFileOrDie(const std::string& path) {
@@ -278,12 +352,17 @@ std::string ReadFileOrDie(const std::string& path) {
 }
 
 TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
-  const char* names[] = {"multitenant",  "faults",         "faults_plan",
-                         "oversub",      "serving",        "serving_disagg",
-                         "serving_flow", "network",        "fig12_twoisland"};
-  for (const char* name : names) {
-    SCOPED_TRACE(name);
-    const std::string path = DefaultScenarioPath(name);
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(ScenarioDir())) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_FALSE(paths.empty()) << "no scenarios in " << ScenarioDir();
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
     Scenario s1;
     DiagnosticEngine d1;
     ASSERT_TRUE(LoadScenarioFile(path, &s1, &d1)) << d1.Render();
@@ -311,6 +390,237 @@ TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
       }
     }
   }
+}
+
+// Every field of every section, set away from its default in both the full
+// section and the quick overlay, must parse cleanly, serialize to a
+// byte-stable fixed point, and come back equal to the expected specs. A
+// field that is read but never emitted (or emitted but never read) fails.
+const char kEveryClusterField[] =
+    "{ \"preset\": \"gpu_vm\", \"islands\": 2, \"hosts_per_island\": 3,"
+    " \"devices_per_host\": 4, \"host_jitter_frac\": 0.05,"
+    " \"hbm_capacity_mib\": 512.5, \"host_dram_capacity_mib\": 2048.5,"
+    " \"ici_flow\": { \"enabled\": true, \"dims\": 3 },"
+    " \"dcn_clos\": { \"enabled\": true, \"hosts_per_leaf\": 4,"
+    " \"num_spines\": 2, \"oversubscription\": 2.5 } }";
+
+void ExpectEveryClusterField(const ClusterSpec& c) {
+  EXPECT_EQ(c.preset, "gpu_vm");
+  EXPECT_EQ(c.islands, 2);
+  EXPECT_EQ(c.hosts_per_island, 3);
+  EXPECT_EQ(c.devices_per_host, 4);
+  EXPECT_EQ(c.host_jitter_frac, 0.05);
+  EXPECT_EQ(c.hbm_capacity_mib, 512.5);
+  EXPECT_EQ(c.host_dram_capacity_mib, 2048.5);
+  EXPECT_TRUE(c.ici_flow);
+  EXPECT_EQ(c.ici_flow_dims, 3);
+  EXPECT_TRUE(c.dcn_clos);
+  EXPECT_EQ(c.clos_hosts_per_leaf, 4);
+  EXPECT_EQ(c.clos_num_spines, 2);
+  EXPECT_EQ(c.clos_oversubscription, 2.5);
+}
+
+template <typename T>
+void ExpectSectionRoundTrips(const std::string& family,
+                             const std::string& section,
+                             WithQuick<T> Scenario::*member, const T& full,
+                             const T& quick) {
+  SCOPED_TRACE(family);
+  std::string text = "{ \"name\": \"t\", \"family\": \"";
+  text += family;
+  text += "\",\n  \"cluster\": ";
+  text += kEveryClusterField;
+  text += ",\n  \"";
+  text += family;
+  text += "\": ";
+  text += section;
+  text += ",\n  \"sweep\": { \"axes\": [ { \"name\": \"a\","
+          " \"values\": [1] } ] } }\n";
+  Scenario s1;
+  DiagnosticEngine d1("test.json", text);
+  ASSERT_TRUE(ParseScenario(text, &s1, &d1)) << d1.Render();
+  EXPECT_TRUE(d1.diagnostics().empty()) << d1.Render();
+
+  const std::string canon = s1.Serialize();
+  Scenario s2;
+  DiagnosticEngine d2("test.json (canonical)", canon);
+  ASSERT_TRUE(ParseScenario(canon, &s2, &d2)) << d2.Render();
+  EXPECT_TRUE(d2.diagnostics().empty()) << d2.Render();
+  EXPECT_EQ(s2.Serialize(), canon);
+
+  for (const Scenario* s : {&s1, &s2}) {
+    const WithQuick<T>& got = s->*member;
+    EXPECT_TRUE(got.present);
+    EXPECT_TRUE(got.full == full) << canon;
+    EXPECT_TRUE(got.quick == quick) << canon;
+    ExpectEveryClusterField(s->cluster);
+  }
+}
+
+TEST(ScenarioSerialize, EveryFieldRoundTripsInFullAndQuick) {
+  ExpectSectionRoundTrips<MultitenantSpec>(
+      "multitenant",
+      "{ \"nominal_pod_per_sec\": 1000.5, \"max_inflight_gangs\": 3,"
+      " \"warmup_ms\": 10.5, \"horizon_ms\": 100.5, \"queue_capacity\": 16,"
+      " \"max_outstanding\": 4, \"retry_max_attempts\": 7,"
+      " \"retry_initial_backoff_us\": 150.5, \"retry_max_backoff_ms\": 2.5,"
+      " \"step_us\": 111.5, \"collective_bytes\": 128, \"seed_base\": 42,"
+      " \"quick\": { \"nominal_pod_per_sec\": 2000.5,"
+      " \"max_inflight_gangs\": 4, \"warmup_ms\": 20.5, \"horizon_ms\": 50.5,"
+      " \"queue_capacity\": 8, \"max_outstanding\": 2,"
+      " \"retry_max_attempts\": 3, \"retry_initial_backoff_us\": 50.5,"
+      " \"retry_max_backoff_ms\": 1.5, \"step_us\": 99.5,"
+      " \"collective_bytes\": 256, \"seed_base\": 43 } }",
+      &Scenario::multitenant,
+      {.nominal_pod_per_sec = 1000.5, .max_inflight_gangs = 3,
+       .warmup_ms = 10.5, .horizon_ms = 100.5, .queue_capacity = 16,
+       .max_outstanding = 4, .retry_max_attempts = 7,
+       .retry_initial_backoff_us = 150.5, .retry_max_backoff_ms = 2.5,
+       .step_us = 111.5, .collective_bytes = 128, .seed_base = 42},
+      {.nominal_pod_per_sec = 2000.5, .max_inflight_gangs = 4,
+       .warmup_ms = 20.5, .horizon_ms = 50.5, .queue_capacity = 8,
+       .max_outstanding = 2, .retry_max_attempts = 3,
+       .retry_initial_backoff_us = 50.5, .retry_max_backoff_ms = 1.5,
+       .step_us = 99.5, .collective_bytes = 256, .seed_base = 43});
+
+  ExpectSectionRoundTrips<FaultsSpec>(
+      "faults",
+      "{ \"horizon_ms\": 90.5, \"min_window_ms\": 2.5,"
+      " \"max_window_ms\": 7.5, \"link_degrades\": 2,"
+      " \"always_recover\": false, \"retry_max_attempts\": 3,"
+      " \"retry_initial_backoff_us\": 100.5, \"step_us\": 200.5,"
+      " \"collective_kib\": 32, \"seed_base\": 7, \"fault_plan\": [\n"
+      "    { \"kind\": \"device_crash\", \"at_ms\": 1.5, \"window_ms\": 2.5,"
+      " \"device\": 1 },\n"
+      "    { \"kind\": \"straggler\", \"at_ms\": 3.5, \"window_ms\": 4.5,"
+      " \"device\": 2, \"severity\": 2.5 },\n"
+      "    { \"kind\": \"link_degrade\", \"at_ms\": 5.5, \"window_ms\": 6.5,"
+      " \"host\": 1, \"severity\": 0.5 },\n"
+      "    { \"kind\": \"partition\", \"at_ms\": 7.5, \"window_ms\": 8.5,"
+      " \"host\": 2 } ],\n"
+      "  \"quick\": { \"horizon_ms\": 40.5, \"min_window_ms\": 1.5,"
+      " \"max_window_ms\": 3.5, \"link_degrades\": 3,"
+      " \"always_recover\": false, \"retry_max_attempts\": 2,"
+      " \"retry_initial_backoff_us\": 60.5, \"step_us\": 150.5,"
+      " \"collective_kib\": 16, \"seed_base\": 8, \"fault_plan\": [\n"
+      "    { \"kind\": \"device_crash\", \"at_ms\": 0.5, \"window_ms\": 0.0,"
+      " \"device\": 3 } ] } }",
+      &Scenario::faults,
+      {.horizon_ms = 90.5, .min_window_ms = 2.5, .max_window_ms = 7.5,
+       .link_degrades = 2, .always_recover = false, .retry_max_attempts = 3,
+       .retry_initial_backoff_us = 100.5, .step_us = 200.5,
+       .collective_kib = 32, .seed_base = 7,
+       .fault_plan = {{.kind = "device_crash", .at_ms = 1.5,
+                       .window_ms = 2.5, .device = 1},
+                      {.kind = "straggler", .at_ms = 3.5, .window_ms = 4.5,
+                       .device = 2, .severity = 2.5},
+                      {.kind = "link_degrade", .at_ms = 5.5,
+                       .window_ms = 6.5, .host = 1, .severity = 0.5},
+                      {.kind = "partition", .at_ms = 7.5, .window_ms = 8.5,
+                       .host = 2}}},
+      {.horizon_ms = 40.5, .min_window_ms = 1.5, .max_window_ms = 3.5,
+       .link_degrades = 3, .always_recover = false, .retry_max_attempts = 2,
+       .retry_initial_backoff_us = 60.5, .step_us = 150.5,
+       .collective_kib = 16, .seed_base = 8,
+       .fault_plan = {{.kind = "device_crash", .at_ms = 0.5,
+                       .window_ms = 0.0, .device = 3}}});
+
+  ExpectSectionRoundTrips<OversubSpec>(
+      "oversub",
+      "{ \"tenants\": 3, \"weights_per_shard_mib\": 5.5,"
+      " \"output_per_shard_mib\": 1.5, \"working_headroom_mib\": 32.5,"
+      " \"requests_per_tenant\": 12, \"step_us\": 250.5,"
+      " \"quick\": { \"tenants\": 2, \"weights_per_shard_mib\": 2.5,"
+      " \"output_per_shard_mib\": 0.5, \"working_headroom_mib\": 16.5,"
+      " \"requests_per_tenant\": 6, \"step_us\": 125.5 } }",
+      &Scenario::oversub,
+      {.tenants = 3, .weights_per_shard_mib = 5.5,
+       .output_per_shard_mib = 1.5, .working_headroom_mib = 32.5,
+       .requests_per_tenant = 12, .step_us = 250.5},
+      {.tenants = 2, .weights_per_shard_mib = 2.5,
+       .output_per_shard_mib = 0.5, .working_headroom_mib = 16.5,
+       .requests_per_tenant = 6, .step_us = 125.5});
+
+  ExpectSectionRoundTrips<ServingSpec>(
+      "serving",
+      "{ \"kv_bytes_per_token\": 2048, \"max_batch\": 4,"
+      " \"token_budget\": 128, \"min_prefill_tokens\": 4,"
+      " \"max_prefill_tokens\": 24, \"min_decode_tokens\": 3,"
+      " \"max_decode_tokens\": 16, \"horizon_ms\": 6.5,"
+      " \"hbm_frac_of_working_set\": 0.3, \"hbm_headroom_kib\": 64.5,"
+      " \"arrival_seed_base\": 12, \"arrival_seed_stride\": 18,"
+      " \"token_seed_base\": 102,"
+      " \"quick\": { \"kv_bytes_per_token\": 1024, \"max_batch\": 2,"
+      " \"token_budget\": 64, \"min_prefill_tokens\": 2,"
+      " \"max_prefill_tokens\": 12, \"min_decode_tokens\": 4,"
+      " \"max_decode_tokens\": 8, \"horizon_ms\": 1.5,"
+      " \"hbm_frac_of_working_set\": 0.4, \"hbm_headroom_kib\": 32.5,"
+      " \"arrival_seed_base\": 13, \"arrival_seed_stride\": 19,"
+      " \"token_seed_base\": 103 } }",
+      &Scenario::serving,
+      {.kv_bytes_per_token = 2048, .max_batch = 4, .token_budget = 128,
+       .min_prefill_tokens = 4, .max_prefill_tokens = 24,
+       .min_decode_tokens = 3, .max_decode_tokens = 16, .horizon_ms = 6.5,
+       .hbm_frac_of_working_set = 0.3, .hbm_headroom_kib = 64.5,
+       .arrival_seed_base = 12, .arrival_seed_stride = 18,
+       .token_seed_base = 102},
+      {.kv_bytes_per_token = 1024, .max_batch = 2, .token_budget = 64,
+       .min_prefill_tokens = 2, .max_prefill_tokens = 12,
+       .min_decode_tokens = 4, .max_decode_tokens = 8, .horizon_ms = 1.5,
+       .hbm_frac_of_working_set = 0.4, .hbm_headroom_kib = 32.5,
+       .arrival_seed_base = 13, .arrival_seed_stride = 19,
+       .token_seed_base = 103});
+
+  // "decoder3b" is both the default and the only known model, so `model`
+  // is the one field that cannot move off its default.
+  ExpectSectionRoundTrips<DisaggSpec>(
+      "serving_disagg",
+      "{ \"model\": \"decoder3b\", \"max_batch\": 4, \"token_budget\": 128,"
+      " \"min_prefill_tokens\": 4, \"max_prefill_tokens\": 24,"
+      " \"min_decode_tokens\": 3, \"max_decode_tokens\": 16,"
+      " \"horizon_ms\": 3000.5, \"hbm_headroom_mib\": 2.5,"
+      " \"arrival_seed_base\": 12, \"arrival_seed_stride\": 18,"
+      " \"token_seed_base\": 102,"
+      " \"quick\": { \"model\": \"decoder3b\", \"max_batch\": 2,"
+      " \"token_budget\": 64, \"min_prefill_tokens\": 2,"
+      " \"max_prefill_tokens\": 12, \"min_decode_tokens\": 4,"
+      " \"max_decode_tokens\": 8, \"horizon_ms\": 500.5,"
+      " \"hbm_headroom_mib\": 0.5, \"arrival_seed_base\": 13,"
+      " \"arrival_seed_stride\": 19, \"token_seed_base\": 103 } }",
+      &Scenario::disagg,
+      {.model = "decoder3b", .max_batch = 4, .token_budget = 128,
+       .min_prefill_tokens = 4, .max_prefill_tokens = 24,
+       .min_decode_tokens = 3, .max_decode_tokens = 16,
+       .horizon_ms = 3000.5, .hbm_headroom_mib = 2.5,
+       .arrival_seed_base = 12, .arrival_seed_stride = 18,
+       .token_seed_base = 102},
+      {.model = "decoder3b", .max_batch = 2, .token_budget = 64,
+       .min_prefill_tokens = 2, .max_prefill_tokens = 12,
+       .min_decode_tokens = 4, .max_decode_tokens = 8, .horizon_ms = 500.5,
+       .hbm_headroom_mib = 0.5, .arrival_seed_base = 13,
+       .arrival_seed_stride = 19, .token_seed_base = 103});
+
+  ExpectSectionRoundTrips<NetworkSpec>(
+      "network",
+      "{ \"message_mib\": 8.5, \"hosts\": 16, \"hosts_per_leaf\": 4,"
+      " \"num_spines\": 2, \"quick\": { \"message_mib\": 2.5, \"hosts\": 8,"
+      " \"hosts_per_leaf\": 2, \"num_spines\": 3 } }",
+      &Scenario::network,
+      {.message_mib = 8.5, .hosts = 16, .hosts_per_leaf = 4,
+       .num_spines = 2},
+      {.message_mib = 2.5, .hosts = 8, .hosts_per_leaf = 2,
+       .num_spines = 3});
+
+  ExpectSectionRoundTrips<Fig12Spec>(
+      "fig12_twoisland",
+      "{ \"steps\": 2, \"chunks\": 4, \"max_inflight_gangs\": 32,"
+      " \"model_parallel\": 16, \"quick\": { \"steps\": 1, \"chunks\": 2,"
+      " \"max_inflight_gangs\": 8, \"model_parallel\": 4 } }",
+      &Scenario::fig12,
+      {.steps = 2, .chunks = 4, .max_inflight_gangs = 32,
+       .model_parallel = 16},
+      {.steps = 1, .chunks = 2, .max_inflight_gangs = 8,
+       .model_parallel = 4});
 }
 
 // --- runner determinism ----------------------------------------------------
