@@ -1,5 +1,8 @@
 #include "scenario/family_common.h"
 
+#include <cstdarg>
+#include <cstdio>
+
 namespace pw::scenario {
 
 hw::SystemParams BaseSystemParams(const ClusterSpec& c) {
@@ -40,6 +43,15 @@ double MetricOf(const sweep::ResultRow& row, const std::string& name) {
     if (k == name) return v;
   }
   return 0.0;
+}
+
+std::string Format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  char buf[512];
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  return buf;
 }
 
 }  // namespace pw::scenario

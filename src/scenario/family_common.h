@@ -30,6 +30,9 @@ std::unique_ptr<hw::Cluster> BuildCluster(sim::Simulator* sim,
 // A result row's metric by name; 0 when the row does not carry it.
 double MetricOf(const sweep::ResultRow& row, const std::string& name);
 
+// printf into a std::string, for gate failure messages.
+[[gnu::format(printf, 1, 2)]] std::string Format(const char* fmt, ...);
+
 // The faults family's single island for one island_devices value: four
 // devices per host, at least one host. Its measurement builds this shape,
 // and ValidateForFamily checks fault_plan targets against it.

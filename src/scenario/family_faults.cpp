@@ -1,8 +1,9 @@
 // Family "faults": goodput and recovery latency under injected device
 // crashes, stragglers, and link degrades, each grid point paired with its
-// own fault-free baseline. Extracted from bench/bench_faults.cpp. The
-// cluster shape is derived per point from the island_devices axis; the
-// scenario's cluster section supplies only the base SystemParams.
+// own fault-free baseline. The cluster shape is derived per point from the
+// island_devices axis; the scenario's cluster section supplies only the
+// base SystemParams. Gate: goodput degrades gracefully, it does not
+// collapse.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -153,7 +154,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
 
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>&, bool) {
+    const std::vector<sweep::ParamPoint>&) {
   double ratio_sum = 0, recovery_sum = 0;
   for (const auto& row : table.rows()) {
     ratio_sum += MetricOf(row, "goodput_ratio");
@@ -162,6 +163,16 @@ std::map<std::string, double> Summarize(
   const double rows = static_cast<double>(table.rows().size());
   return {{"mean_goodput_ratio", ratio_sum / rows},
           {"mean_recovery_latency_us", recovery_sum / rows}};
+}
+
+// Under the heaviest injected fault rate the system should still complete
+// a meaningful fraction of baseline steps.
+std::vector<std::string> Check(const Scenario&, bool, const RunResult& r) {
+  const double mean_ratio = r.summary.at("mean_goodput_ratio");
+  if (mean_ratio >= 0.5) return {};
+  return {Format("mean goodput ratio %.2f under faults — recovery path is "
+                 "losing most of the cluster's useful work",
+                 mean_ratio)};
 }
 
 }  // namespace
@@ -178,11 +189,12 @@ Family MakeFaultsFamily() {
       "vs its own fault-free baseline";
   f.axes = {{"island_devices", AxisKind::kInt},
             {"faults_per_sec", AxisKind::kInt}};
-  // bench_faults never carried the determinism rerun (every point already
-  // runs two private simulators); keep its BENCH summary byte-stable.
+  // No determinism rerun: every point already runs two private
+  // simulators, and the committed BENCH summary never carried the key.
   f.check_determinism = false;
   f.measure = Measure;
   f.summarize = Summarize;
+  f.check = Check;
   return f;
 }
 

@@ -1,8 +1,9 @@
 // Family "multitenant": N weighted clients drive Poisson open-loop traffic
 // through bounded admission queues into the weighted-stride gang scheduler.
-// Extracted from bench/bench_multitenant.cpp; the bench main keeps its
-// proportional-share and determinism gates and runs this harness through
-// RunScenario.
+// Reproduces the paper's Figure-9 proportional-share result in the serving
+// regime and regression-gates the stride pass-rebase fix: under overload
+// every client's achieved goodput share must stay within tolerance of its
+// weight fraction (5% full run, 10% --quick).
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -188,7 +189,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
 
 std::map<std::string, double> Summarize(
     const Scenario&, bool quick, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>&, bool deterministic) {
+    const std::vector<sweep::ParamPoint>&) {
   double gate_err = 0;
   for (const auto& row : table.rows()) {
     if (MetricOf(row, "overloaded") > 0.5) {
@@ -196,8 +197,16 @@ std::map<std::string, double> Summarize(
     }
   }
   return {{"max_share_err_overloaded", gate_err},
-          {"share_tolerance", quick ? 0.10 : 0.05},
-          {"deterministic", deterministic ? 1.0 : 0.0}};
+          {"share_tolerance", quick ? 0.10 : 0.05}};
+}
+
+std::vector<std::string> Check(const Scenario&, bool, const RunResult& r) {
+  const double gate_err = r.summary.at("max_share_err_overloaded");
+  const double tolerance = r.summary.at("share_tolerance");
+  if (gate_err <= tolerance) return {};
+  return {Format("achieved share off weight fraction by %.1f%% (tolerance "
+                 "%.0f%%) under overload",
+                 100 * gate_err, 100 * tolerance)};
 }
 
 }  // namespace
@@ -214,6 +223,7 @@ Family MakeMultitenantFamily() {
   f.check_determinism = true;
   f.measure = Measure;
   f.summarize = Summarize;
+  f.check = Check;
   return f;
 }
 

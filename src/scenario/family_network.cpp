@@ -1,9 +1,16 @@
 // Family "network": contended DCN sweep over the flow-level Clos fabric —
 // oversubscription ratio x incast fan-in, with the abstract per-NIC fabric
-// measured at every point as the baseline the scalar model predicts.
-// Extracted from bench/bench_network.cpp; the bench binary keeps the gates
-// (uncontended agreement, ~N x incast, >= 2x oversubscription penalty) and
-// reads them off this family's metrics and summary.
+// measured at every point as the baseline the scalar model predicts. The
+// gates pin exactly what the flow-level fabric claims:
+//   1. Uncontended agreement: with one flow on a non-blocking Clos, the
+//      flow fabric matches the abstract fabric to ~1us (NIC serialization
+//      is the only bottleneck either way).
+//   2. Incast: N senders converging on one host finish ~N x slower on the
+//      flow fabric, while the abstract fabric — whose senders serialize on
+//      their own NICs only — is flat in N.
+//   3. Oversubscription: the cross-leaf shuffle at the largest swept R pays
+//      >= 2x the smallest-R completion time (leaf->spine uplinks throttle
+//      it), again invisible to the abstract fabric.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -77,7 +84,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
 
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>& points, bool deterministic) {
+    const std::vector<sweep::ParamPoint>& points) {
   // The shuffle is fan_in-independent, so any one row per oversub value
   // carries it; the penalty headline is the largest/smallest swept ratio.
   double max_incast_slowdown = 0, uncontended_max_diff_ms = 0;
@@ -105,8 +112,37 @@ std::map<std::string, double> Summarize(
   return {{"max_incast_slowdown", max_incast_slowdown},
           {"uncontended_max_diff_ms", uncontended_max_diff_ms},
           {"oversub_shuffle_penalty",
-           shuffle_lo > 0 ? shuffle_hi / shuffle_lo : 0.0},
-          {"deterministic", deterministic ? 1.0 : 0.0}};
+           shuffle_lo > 0 ? shuffle_hi / shuffle_lo : 0.0}};
+}
+
+std::vector<std::string> Check(const Scenario&, bool, const RunResult& r) {
+  std::vector<std::string> failures;
+  for (std::size_t i = 0; i < r.table.rows().size(); ++i) {
+    const auto& row = r.table.rows()[i];
+    const int fan_in = static_cast<int>(r.points[i].GetInt("fan_in"));
+    if (fan_in == 1) {
+      const double diff_ms = std::abs(MetricOf(row, "incast_flow_ms") -
+                                      MetricOf(row, "incast_abstract_ms"));
+      if (diff_ms > 1e-3) {
+        failures.push_back(
+            Format("uncontended flow fabric off abstract by %.4f ms at "
+                   "R=%.1f",
+                   diff_ms, r.points[i].GetDouble("oversub")));
+      }
+    }
+    const double slowdown = MetricOf(row, "incast_slowdown");
+    if (fan_in >= 4 && slowdown < 0.7 * fan_in) {
+      failures.push_back(Format("incast slowdown %.2fx below 0.7*N for N=%d",
+                                slowdown, fan_in));
+    }
+  }
+  const double penalty = r.summary.at("oversub_shuffle_penalty");
+  if (!(penalty >= 2.0)) {
+    failures.push_back(
+        Format("high-R shuffle only %.2fx of low-R (expected >= 2x)",
+               penalty));
+  }
+  return failures;
 }
 
 }  // namespace
@@ -120,6 +156,7 @@ Family MakeNetworkFamily() {
   f.axes = {{"oversub", AxisKind::kDouble}, {"fan_in", AxisKind::kInt}};
   f.measure = Measure;
   f.summarize = Summarize;
+  f.check = Check;
   return f;
 }
 

@@ -1,7 +1,8 @@
 // Family "oversub": T tenants stage resident weights and serve closed-loop
 // requests while per-device HBM is scaled below the sum of their working
 // sets, so survival depends on scheduler-consistent reservations plus the
-// host-DRAM spill path. Extracted from bench/bench_oversub.cpp.
+// host-DRAM spill path. Gates: zero deadlocks, >= 2x HBM worth of logical
+// bytes live, and goodput above a floor of the uncontended baseline.
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -137,7 +138,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
 
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>& points, bool deterministic) {
+    const std::vector<sweep::ParamPoint>& points) {
   // Per-depth goodput baselines at scale 1.0 for the degradation gate.
   std::map<std::int64_t, double> baseline;
   for (std::size_t i = 0; i < table.rows().size(); ++i) {
@@ -163,8 +164,30 @@ std::map<std::string, double> Summarize(
   }
   return {{"deadlocks", any_deadlock ? 1.0 : 0.0},
           {"min_goodput_ratio_oversub", min_ratio},
-          {"max_oversub_x", max_oversub},
-          {"deterministic", deterministic ? 1.0 : 0.0}};
+          {"max_oversub_x", max_oversub}};
+}
+
+std::vector<std::string> Check(const Scenario&, bool, const RunResult& r) {
+  std::vector<std::string> failures;
+  if (r.summary.at("deadlocks") > 0.5) {
+    failures.push_back("deadlock (or incomplete point) detected");
+  }
+  const double max_oversub = r.summary.at("max_oversub_x");
+  if (max_oversub < 2.0) {
+    failures.push_back(
+        Format("oversubscription factor %.2fx < 2x — the sweep never "
+               "exercised real oversubscription",
+               max_oversub));
+  }
+  const double min_ratio = r.summary.at("min_goodput_ratio_oversub");
+  const double ratio_floor = 0.15;
+  if (min_ratio < ratio_floor) {
+    failures.push_back(
+        Format("oversubscribed goodput collapsed to %.2fx of the uncontended "
+               "baseline (floor %.2fx)",
+               min_ratio, ratio_floor));
+  }
+  return failures;
 }
 
 }  // namespace
@@ -179,6 +202,7 @@ Family MakeOversubFamily() {
   f.check_determinism = true;
   f.measure = Measure;
   f.summarize = Summarize;
+  f.check = Check;
   return f;
 }
 

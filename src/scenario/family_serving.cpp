@@ -1,8 +1,11 @@
 // Families "serving" and "serving_disagg": iteration-level batching with
 // per-sequence KV in the ObjectStore, colocated (continuous vs static under
 // KV budgets) and disaggregated (prefill islands streaming KV over the DCN
-// to decode islands, vs a colocated arm at equal device count). Extracted
-// from bench/bench_serving.cpp.
+// to decode islands, vs a colocated arm at equal device count). Both gate
+// on zero deadlocks and leaks; serving also on continuous >= 1.5x static at
+// the top rate, real spilling at the 0.5x budget and a low-rate p99 TTFT
+// bound; disagg on real transfers and spills and on beating colocated p99
+// token latency within a p99 TTFT bound.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -27,6 +30,30 @@ using serving::ServingMetrics;
 using serving::ServingTenant;
 using serving::ServingTrace;
 using serving::TenantSpec;
+
+// Gates both families share: zero deadlocks (summary) and zero object-store
+// buffers leaked at quiescence (any row).
+std::vector<std::string> DeadlockAndLeakFailures(const RunResult& r) {
+  std::vector<std::string> failures;
+  if (r.summary.at("deadlocks") > 0.5) {
+    failures.push_back("deadlock / unfinished point detected");
+  }
+  for (const auto& row : r.table.rows()) {
+    if (MetricOf(row, "leaked_buffers") > 0.5) {
+      failures.push_back("object-store buffers leaked at quiescence");
+      break;
+    }
+  }
+  return failures;
+}
+
+double MaxRate(const std::vector<sweep::ParamPoint>& points) {
+  double max_rate = 0;
+  for (const auto& pt : points) {
+    max_rate = std::max(max_rate, pt.GetDouble("rate_per_s"));
+  }
+  return max_rate;
+}
 
 // Serving and disagg specs share the request-shape fields below.
 
@@ -144,7 +171,7 @@ sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
 
 std::map<std::string, double> SummarizeServing(
     const Scenario&, bool, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>& points, bool deterministic) {
+    const std::vector<sweep::ParamPoint>& points) {
   double max_rate = 0, min_rate = 1e18;
   for (const auto& pt : points) {
     max_rate = std::max(max_rate, pt.GetDouble("rate_per_s"));
@@ -186,8 +213,32 @@ std::map<std::string, double> SummarizeServing(
   return {{"deadlocks", any_deadlock ? 1.0 : 0.0},
           {"continuous_goodput_x", min_speedup},
           {"spills_at_half_budget", spills_at_half_budget},
-          {"p99_ttft_low_rate_us", p99_ttft_low_rate_cont},
-          {"deterministic", deterministic ? 1.0 : 0.0}};
+          {"p99_ttft_low_rate_us", p99_ttft_low_rate_cont}};
+}
+
+std::vector<std::string> CheckServing(const Scenario&, bool,
+                                      const RunResult& r) {
+  std::vector<std::string> failures = DeadlockAndLeakFailures(r);
+  const double min_speedup = r.summary.at("continuous_goodput_x");
+  if (min_speedup < 1.5) {
+    failures.push_back(
+        Format("continuous batching only %.2fx static goodput at the highest "
+               "rate (need >= 1.5x)",
+               min_speedup));
+  }
+  if (r.summary.at("spills_at_half_budget") <= 0) {
+    failures.push_back(
+        "no spilling at the 0.5x KV budget — memory pressure was not real");
+  }
+  const double p99_ttft = r.summary.at("p99_ttft_low_rate_us");
+  const double p99_ttft_bound_us = 2000.0;
+  if (p99_ttft > p99_ttft_bound_us) {
+    failures.push_back(
+        Format("p99 TTFT %.0fus at the lowest rate (continuous) exceeds "
+               "%.0fus",
+               p99_ttft, p99_ttft_bound_us));
+  }
+  return failures;
 }
 
 // --- family "serving_disagg" -----------------------------------------------
@@ -364,12 +415,8 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
 
 std::map<std::string, double> SummarizeDisagg(
     const Scenario&, bool, const sweep::ResultTable& table,
-    const std::vector<sweep::ParamPoint>& points, bool deterministic) {
-  double max_rate = 0;
-  for (const auto& pt : points) {
-    max_rate = std::max(max_rate, pt.GetDouble("rate_per_s"));
-  }
-
+    const std::vector<sweep::ParamPoint>& points) {
+  const double max_rate = MaxRate(points);
   bool any_deadlock = false;
   double total_transfers = 0;
   double total_disagg_spills = 0;
@@ -402,8 +449,35 @@ std::map<std::string, double> SummarizeDisagg(
           {"top_rate_c_token_p99_us", top_c_tok_p99},
           {"best_d_ttft_p99_us", best_d_ttft_p99},
           {"transfers", total_transfers},
-          {"disagg_spills", total_disagg_spills},
-          {"deterministic", deterministic ? 1.0 : 0.0}};
+          {"disagg_spills", total_disagg_spills}};
+}
+
+std::vector<std::string> CheckDisagg(const Scenario&, bool,
+                                     const RunResult& r) {
+  std::vector<std::string> failures = DeadlockAndLeakFailures(r);
+  if (r.summary.at("transfers") <= 0) {
+    failures.push_back("no cross-island KV transfers completed");
+  }
+  if (r.summary.at("disagg_spills") <= 0) {
+    failures.push_back(
+        "decode island never spilled — the 0.5x-budget pressure was not "
+        "real");
+  }
+  const double best_d_tok_p99 = r.summary.at("best_d_token_p99_us");
+  const double top_c_tok_p99 = r.summary.at("top_rate_c_token_p99_us");
+  if (best_d_tok_p99 >= top_c_tok_p99) {
+    failures.push_back(
+        Format("disagg p99 token latency %.0fus does not beat colocated "
+               "%.0fus at %.0f req/s",
+               best_d_tok_p99, top_c_tok_p99, MaxRate(r.points)));
+  }
+  const double best_d_ttft_p99 = r.summary.at("best_d_ttft_p99_us");
+  const double ttft_bound_us = 150000.0;
+  if (best_d_ttft_p99 > ttft_bound_us) {
+    failures.push_back(Format("disagg p99 TTFT %.0fus exceeds %.0fus",
+                              best_d_ttft_p99, ttft_bound_us));
+  }
+  return failures;
 }
 
 }  // namespace
@@ -420,6 +494,7 @@ Family MakeServingFamily() {
   f.check_determinism = true;
   f.measure = MeasureServing;
   f.summarize = SummarizeServing;
+  f.check = CheckServing;
   return f;
 }
 
@@ -435,6 +510,7 @@ Family MakeServingDisaggFamily() {
   f.check_determinism = true;
   f.measure = MeasureDisagg;
   f.summarize = SummarizeDisagg;
+  f.check = CheckDisagg;
   return f;
 }
 

@@ -178,8 +178,14 @@ bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
   out->table = runner.Run(grid, point_fn);
   out->points = grid.Points();
 
-  out->deterministic = true;
-  if (opts.check_determinism && fam->check_determinism) {
+  out->summary.clear();
+  if (fam->summarize) {
+    out->summary = fam->summarize(s, opts.quick, out->table, out->points);
+  }
+  out->failures.clear();
+  if (fam->check) out->failures = fam->check(s, opts.quick, *out);
+
+  if (fam->check_determinism) {
     // The SweepRunner contract: the identical sweep on one thread must
     // serialize to the identical table.
     sweep::SweepRunner serial(sweep::SweepRunner::Options{.threads = 1});
@@ -187,20 +193,11 @@ bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
     std::ostringstream csv_mt, csv_1t;
     out->table.WriteCsv(csv_mt);
     table1.WriteCsv(csv_1t);
-    out->deterministic = csv_mt.str() == csv_1t.str();
-  }
-
-  out->summary.clear();
-  if (fam->summarize) {
-    out->summary = fam->summarize(s, opts.quick, out->table, out->points,
-                                  out->deterministic);
-  }
-
-  out->json_path.clear();
-  if (opts.write_json) {
-    out->json_path =
-        sweep::WriteBenchJsonFile(s.name, out->summary, out->table,
-                                  opts.out_dir);
+    const bool deterministic = csv_mt.str() == csv_1t.str();
+    out->summary["deterministic"] = deterministic ? 1.0 : 0.0;
+    if (!deterministic) {
+      out->failures.push_back("sweep table differs between 1 and N threads");
+    }
   }
   return true;
 }

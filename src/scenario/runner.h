@@ -1,12 +1,13 @@
 // Family registry + scenario runner: the layer that turns a validated
-// Scenario into a sweep::ResultTable and a BENCH_<name>.json file.
+// Scenario into a sweep::ResultTable, its summary metrics, and the verdict
+// of the family's acceptance gates.
 //
-// A Family is one measurement harness (the code that used to live in a
-// bench_*.cpp main): it declares the sweep axes it understands, measures a
-// single grid point on a private simulator, and reduces the finished table
-// to the summary metrics CI trend lines track. The registry maps the
-// scenario's "family" string to that harness, so bench binaries and the
-// pwsim CLI share one implementation:
+// A Family is one measurement harness: it declares the sweep axes it
+// understands, measures a single grid point on a private simulator,
+// reduces the finished table to the summary metrics CI trend lines track,
+// and checks the finished run against the paper claim it stands for. The
+// registry maps the scenario's "family" string to that harness; `pwsim
+// run` is its driver:
 //
 //   Scenario sc;
 //   DiagnosticEngine diags;
@@ -15,6 +16,7 @@
 //   RunResult result;
 //   std::string error;
 //   RunScenario(sc, {.quick = true}, &result, &error);
+//   // result.failures empty <=> every gate held
 #pragma once
 
 #include <functional>
@@ -42,13 +44,28 @@ struct FamilyAxis {
   AxisKind kind = AxisKind::kInt;
 };
 
+struct RunOptions {
+  bool quick = false;
+  // SweepRunner worker threads; 0 = hardware concurrency.
+  int threads = 0;
+};
+
+struct RunResult {
+  sweep::ResultTable table;
+  // grid.Points() for the grid that produced `table` (same order).
+  std::vector<sweep::ParamPoint> points;
+  std::map<std::string, double> summary;
+  // One message per failed gate; empty when the run passed.
+  std::vector<std::string> failures;
+};
+
 struct Family {
   std::string name;
   // One-line description for `pwsim families`.
   std::string description;
   std::vector<FamilyAxis> axes;
   // Whether RunScenario reruns the sweep on one thread and compares tables
-  // byte-for-byte (families whose BENCH summary carries "deterministic").
+  // byte-for-byte; only such runs carry the "deterministic" summary key.
   bool check_determinism = true;
 
   // Measures one grid point. Runs concurrently across points; must build
@@ -60,8 +77,13 @@ struct Family {
   // grid.Points() aligned with table.rows().
   std::function<std::map<std::string, double>(
       const Scenario& s, bool quick, const sweep::ResultTable& table,
-      const std::vector<sweep::ParamPoint>& points, bool deterministic)>
+      const std::vector<sweep::ParamPoint>& points)>
       summarize;
+  // The family's acceptance gates over the finished run (table, points and
+  // summary filled in): one message per failed gate, empty when all hold.
+  std::function<std::vector<std::string>(const Scenario& s, bool quick,
+                                         const RunResult& r)>
+      check;
 };
 
 // nullptr when unknown. The registry is built lazily on first use.
@@ -75,32 +97,13 @@ std::vector<std::string> FamilyNames();
 // rate_scale). Reports into `diags`; returns diags->ok().
 bool ValidateForFamily(Scenario* s, DiagnosticEngine* diags);
 
-struct RunOptions {
-  bool quick = false;
-  // SweepRunner worker threads; 0 = hardware concurrency.
-  int threads = 0;
-  // Master switch for the 1-thread determinism rerun (ANDed with the
-  // family's check_determinism).
-  bool check_determinism = true;
-  // Write BENCH_<name>.json after the run.
-  bool write_json = true;
-  // Directory for the JSON ("" = $PWSIM_BENCH_DIR or ".").
-  std::string out_dir;
-};
-
-struct RunResult {
-  sweep::ResultTable table;
-  // grid.Points() for the grid that produced `table` (same order).
-  std::vector<sweep::ParamPoint> points;
-  std::map<std::string, double> summary;
-  bool deterministic = true;
-  // Path of the written BENCH_<name>.json ("" if not written).
-  std::string json_path;
-};
-
-// Lowers `s` (already parsed AND ValidateForFamily-ed) through SweepRunner.
-// Returns false with *error set on a non-diagnostic failure (unknown
-// family). Measurement itself cannot fail — gates live in the callers.
+// Lowers `s` (already parsed AND ValidateForFamily-ed) through SweepRunner,
+// summarizes the table, and runs the family's gates. When the family
+// checks determinism, the sweep is rerun on one thread: the summary then
+// carries "deterministic" and a differing table is one more failure.
+// Returns false with *error set only when the scenario cannot run at all
+// (unknown family); a run whose gates fail returns true with
+// out->failures non-empty.
 bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
                  std::string* error);
 

@@ -68,7 +68,7 @@ struct ClusterSpec {
 // hard-coded; shipped scenario files override via "quick" for smoke runs.
 
 // family "multitenant": open-loop weighted clients through the stride
-// scheduler (bench_multitenant).
+// scheduler (scenarios/multitenant.json).
 struct MultitenantSpec {
   double nominal_pod_per_sec = 2500;
   int max_inflight_gangs = 2;
@@ -116,11 +116,11 @@ struct FaultPlanEvent {
 };
 
 // family "faults": crash/straggler/degrade injection vs a per-point
-// fault-free baseline (bench_faults).
+// fault-free baseline (scenarios/faults.json, scenarios/faults_plan.json).
 //
 // Two ways to get a fault timeline: a non-empty `fault_plan` replays those
 // exact events at every grid point; an empty one derives a seeded random
-// plan from the faults_per_sec axis (the original bench_faults behaviour,
+// plan from the faults_per_sec axis (the original fault-sweep behaviour,
 // now deprecated — validation emits a note steering scenarios to the
 // declarative form).
 struct FaultsSpec {
@@ -140,7 +140,7 @@ struct FaultsSpec {
 };
 
 // family "oversub": tenants' working sets vs scaled-down HBM through the
-// spill hierarchy (bench_oversub).
+// spill hierarchy (scenarios/oversub.json).
 struct OversubSpec {
   int tenants = 4;
   double weights_per_shard_mib = 6;
@@ -153,7 +153,7 @@ struct OversubSpec {
 };
 
 // family "serving": continuous vs static batching under KV budgets
-// (bench_serving).
+// (scenarios/serving.json, scenarios/serving_flow.json).
 struct ServingSpec {
   std::int64_t kv_bytes_per_token = 4096;
   int max_batch = 8;
@@ -173,7 +173,8 @@ struct ServingSpec {
 };
 
 // family "serving_disagg": prefill/decode split across islands with
-// cross-island KV transfer, vs a colocated arm (bench_serving --disagg).
+// cross-island KV transfer, vs a colocated arm
+// (scenarios/serving_disagg.json).
 struct DisaggSpec {
   std::string model = "decoder3b";
   int max_batch = 8;
@@ -193,7 +194,7 @@ struct DisaggSpec {
 
 // family "network": contended flow-level Clos DCN vs the abstract per-NIC
 // fabric, swept over oversubscription ratio x incast fan-in
-// (bench_network, docs/NETWORK.md).
+// (scenarios/network.json, docs/NETWORK.md).
 struct NetworkSpec {
   double message_mib = 16;
   int hosts = 32;
@@ -205,8 +206,8 @@ struct NetworkSpec {
 
 // family "fig12_twoisland": Figure 12 / §5.3 — data-parallel training over
 // two islands vs one island with twice the devices, plus the flow-level
-// Clos validation arm (bench_fig12_twoisland). The model axis fixes the
-// per-island core count: decoder64b -> 512, decoder136b -> 1024.
+// Clos validation arm (scenarios/fig12_twoisland.json). The model axis
+// fixes the per-island core count: decoder64b -> 512, decoder136b -> 1024.
 struct Fig12Spec {
   int steps = 3;
   int chunks = 8;

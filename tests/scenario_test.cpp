@@ -1,7 +1,7 @@
 // Scenario layer: clang-style diagnostics (file:line:col + did-you-mean),
-// canonical serialization round-trips, family validation, thread-count
-// determinism of RunScenario, and the path-addressed result store's glob
-// queries (docs/SCENARIOS.md).
+// canonical serialization round-trips, family validation, RunScenario's
+// thread-count determinism and gates, and the path-addressed result store's
+// glob queries (docs/SCENARIOS.md).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -625,35 +625,65 @@ TEST(ScenarioSerialize, EveryFieldRoundTripsInFullAndQuick) {
 
 // --- runner determinism ----------------------------------------------------
 
+// Parses, validates and runs an inline scenario at full size on `threads`
+// SweepRunner threads.
+RunResult RunInline(const std::string& text, int threads) {
+  Scenario s;
+  DiagnosticEngine diags("inline", text);
+  EXPECT_TRUE(ParseScenario(text, &s, &diags)) << diags.Render();
+  EXPECT_TRUE(ValidateForFamily(&s, &diags)) << diags.Render();
+  RunOptions opts;
+  opts.threads = threads;
+  RunResult result;
+  std::string error;
+  EXPECT_TRUE(RunScenario(s, opts, &result, &error)) << error;
+  return result;
+}
+
 TEST(ScenarioRunner, ByteIdenticalAcrossThreadCounts) {
-  const std::string text =
+  // RunScenario itself reruns the sweep on one thread and compares.
+  const RunResult result = RunInline(
       "{ \"name\": \"t\", \"family\": \"multitenant\",\n"
       "  \"multitenant\": { \"warmup_ms\": 5, \"horizon_ms\": 30 },\n"
       "  \"sweep\": { \"axes\": [\n"
       "    { \"name\": \"clients\", \"values\": [2] },\n"
       "    { \"name\": \"rate_scale\", \"values\": [0.5, 4.0] },\n"
-      "    { \"name\": \"policy\", \"values\": [\"drop-tail\"] } ] } }\n";
-  Scenario s;
-  DiagnosticEngine diags("inline", text);
-  ASSERT_TRUE(ParseScenario(text, &s, &diags)) << diags.Render();
-  ASSERT_TRUE(ValidateForFamily(&s, &diags)) << diags.Render();
+      "    { \"name\": \"policy\", \"values\": [\"drop-tail\"] } ] } }\n",
+      /*threads=*/4);
+  ASSERT_EQ(result.table.rows().size(), 2u);
+  ASSERT_EQ(result.summary.count("deterministic"), 1u);
+  EXPECT_EQ(result.summary.at("deterministic"), 1.0);
+  EXPECT_TRUE(result.failures.empty()) << result.failures.front();
+}
 
-  std::string csv[2];
-  const int threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    RunOptions opts;
-    opts.threads = threads[i];
-    opts.check_determinism = false;  // this test is the comparison
-    opts.write_json = false;
-    RunResult result;
-    std::string error;
-    ASSERT_TRUE(RunScenario(s, opts, &result, &error)) << error;
-    ASSERT_EQ(result.table.rows().size(), 2u);
-    std::ostringstream os;
-    result.table.WriteCsv(os);
-    csv[i] = os.str();
-  }
-  EXPECT_EQ(csv[0], csv[1]);
+TEST(ScenarioRunner, DeterministicKeyOnlyWhenTheRerunRan) {
+  // The faults family skips the 1-thread rerun, so its summary must not
+  // claim a determinism it never checked.
+  const RunResult result = RunInline(
+      "{ \"name\": \"t\", \"family\": \"faults\",\n"
+      "  \"faults\": { \"horizon_ms\": 20 },\n"
+      "  \"sweep\": { \"axes\": [\n"
+      "    { \"name\": \"island_devices\", \"values\": [4] },\n"
+      "    { \"name\": \"faults_per_sec\", \"values\": [25] } ] } }\n",
+      /*threads=*/2);
+  ASSERT_EQ(result.table.rows().size(), 1u);
+  EXPECT_EQ(result.summary.count("deterministic"), 0u);
+  EXPECT_EQ(result.summary.count("mean_goodput_ratio"), 1u);
+}
+
+TEST(ScenarioRunner, FailingGateFailsTheRun) {
+  // One oversubscription ratio: the high-R/low-R shuffle penalty is 1.0,
+  // below the network family's >= 2x gate. Every other gate holds.
+  const RunResult result = RunInline(
+      "{ \"name\": \"t\", \"family\": \"network\",\n"
+      "  \"sweep\": { \"axes\": [\n"
+      "    { \"name\": \"oversub\", \"values\": [1.0] },\n"
+      "    { \"name\": \"fan_in\", \"values\": [1, 4] } ] } }\n",
+      /*threads=*/2);
+  EXPECT_EQ(result.summary.at("oversub_shuffle_penalty"), 1.0);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0],
+            "high-R shuffle only 1.00x of low-R (expected >= 2x)");
 }
 
 TEST(ScenarioRunner, UnknownFamilyFailsWithError) {

@@ -2,8 +2,9 @@
 //
 //   pwsim validate <file>...     schema + family validation, clang-style
 //                                diagnostics, non-zero exit on any error
-//   pwsim run <name|file>        lower a scenario through SweepRunner and
-//                                write BENCH_<name>.json
+//   pwsim run <name|file>        lower a scenario through SweepRunner,
+//                                write BENCH_<name>.json, and enforce the
+//                                family's gates (exit 1 if any fails)
 //   pwsim query --select <glob>  path-addressed lookup over BENCH_*.json
 //   pwsim dump <name|file>       canonical serialization to stdout
 //   pwsim families               list registered measurement families
@@ -11,9 +12,12 @@
 // Scenario arguments that name no existing file and contain no '/' resolve
 // through ScenarioDir() (default <repo>/scenarios, override with
 // $PWSIM_SCENARIO_DIR).
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,9 +44,11 @@ int Usage(FILE* out) {
                "      Parse + schema-check + family-check each file; prints\n"
                "      clang-style diagnostics; exit 1 if any file fails.\n"
                "  pwsim run <name|file> [--quick] [--threads N] [--out DIR]\n"
-               "                        [--no-determinism] [--dry-run]\n"
-               "      Run the scenario's sweep and write BENCH_<name>.json\n"
-               "      (--dry-run: validate and list grid points only).\n"
+               "                        [--dry-run]\n"
+               "      Run the scenario's sweep, write BENCH_<name>.json, and\n"
+               "      check the family's gates: each failure prints as\n"
+               "      'FAIL: ...' and the exit code is 1 (--dry-run:\n"
+               "      validate and list grid points only).\n"
                "  pwsim query --select <glob> [--dir DIR]\n"
                "      Print 'path value' for every result matching the\n"
                "      glob (segments split on '/'; * ? within a segment,\n"
@@ -68,6 +74,32 @@ std::string ResolveScenarioPath(const std::string& arg) {
   std::ifstream probe(arg);
   if (probe.good()) return arg;
   return scenario::DefaultScenarioPath(arg);
+}
+
+// The value after flag args[*i], advancing *i; nullptr (after printing the
+// error) when the flag is the last argument.
+const std::string* FlagValue(const char* cmd,
+                             const std::vector<std::string>& args,
+                             std::size_t* i) {
+  if (*i + 1 >= args.size()) {
+    std::fprintf(stderr, "pwsim %s: flag '%s' expects a value\n", cmd,
+                 args[*i].c_str());
+    return nullptr;
+  }
+  return &args[++*i];
+}
+
+// A positive int spelled entirely by `text`.
+bool ParsePositiveInt(const std::string& text, int* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 bool LoadAndValidate(const std::string& path, Scenario* s,
@@ -103,20 +135,27 @@ int CmdValidate(const std::vector<std::string>& files) {
 
 int CmdRun(const std::vector<std::string>& args) {
   std::string target;
+  std::string out_dir;
   scenario::RunOptions opts;
   bool dry_run = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--quick") {
       opts.quick = true;
-    } else if (a == "--no-determinism") {
-      opts.check_determinism = false;
     } else if (a == "--dry-run") {
       dry_run = true;
-    } else if (a == "--threads" && i + 1 < args.size()) {
-      opts.threads = std::atoi(args[++i].c_str());
-    } else if (a == "--out" && i + 1 < args.size()) {
-      opts.out_dir = args[++i];
+    } else if (a == "--threads" || a == "--out") {
+      const std::string* value = FlagValue("run", args, &i);
+      if (value == nullptr) return Usage(stderr);
+      if (a == "--out") {
+        out_dir = *value;
+      } else if (!ParsePositiveInt(*value, &opts.threads)) {
+        std::fprintf(stderr,
+                     "pwsim run: --threads expects a positive integer, got "
+                     "'%s'\n",
+                     value->c_str());
+        return Usage(stderr);
+      }
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "pwsim run: unknown flag '%s'\n", a.c_str());
       return Usage(stderr);
@@ -158,15 +197,24 @@ int CmdRun(const std::vector<std::string>& args) {
     std::fprintf(stderr, "pwsim run: %s\n", error.c_str());
     return 1;
   }
+  const std::string bench_file =
+      sweep::WriteBenchJsonFile(s.name, result.summary, result.table, out_dir);
   std::printf("%s: %zu points%s\n", s.name.c_str(), result.points.size(),
               opts.quick ? " (quick)" : "");
   for (const auto& [key, value] : result.summary) {
     std::printf("  %-28s %.6g\n", key.c_str(), value);
   }
-  if (!result.json_path.empty()) {
-    std::printf("wrote %s\n", result.json_path.c_str());
+  if (bench_file.empty()) {
+    std::fprintf(stderr, "pwsim run: could not write BENCH_%s.json to %s\n",
+                 s.name.c_str(), out_dir.empty() ? "$PWSIM_BENCH_DIR or ."
+                                                 : out_dir.c_str());
+  } else {
+    std::printf("wrote %s\n", bench_file.c_str());
   }
-  return 0;
+  for (const std::string& failure : result.failures) {
+    std::fprintf(stderr, "FAIL: %s\n", failure.c_str());
+  }
+  return bench_file.empty() || !result.failures.empty() ? 1 : 0;
 }
 
 // Shortest printf form of `v` that strtod-round-trips.
@@ -184,10 +232,14 @@ int CmdQuery(const std::vector<std::string>& args) {
   std::string dir = ".";
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a == "--select" && i + 1 < args.size()) {
-      select = args[++i];
-    } else if (a == "--dir" && i + 1 < args.size()) {
-      dir = args[++i];
+    if (a == "--select" || a == "--dir") {
+      const std::string* value = FlagValue("query", args, &i);
+      if (value == nullptr) return Usage(stderr);
+      if (a == "--select") {
+        select = *value;
+      } else {
+        dir = *value;
+      }
     } else {
       std::fprintf(stderr, "pwsim query: unknown argument '%s'\n", a.c_str());
       return Usage(stderr);
