@@ -19,56 +19,101 @@ constexpr double kRipeBytes = 1e-3;
 std::vector<double> MaxMinFairRates(
     const Topology& topo,
     const std::vector<const std::vector<LinkIndex>*>& paths) {
+  MaxMinSolver solver;
+  return solver.Solve(topo, paths);
+}
+
+const std::vector<double>& MaxMinSolver::Solve(
+    const Topology& topo,
+    const std::vector<const std::vector<LinkIndex>*>& paths) {
   const std::size_t n = paths.size();
-  std::vector<double> rates(n, 0.0);
-  if (n == 0) return rates;
+  rates_.assign(n, 0.0);
+  if (n == 0) return rates_;
+  if (slot_.size() < topo.num_links()) {
+    slot_.resize(topo.num_links(), -1);
+    remaining_.resize(topo.num_links());
+    count_.resize(topo.num_links());
+  }
 
   // Per-link remaining capacity and unfixed-flow crossing count, over just
   // the links these paths touch. A path may cross a link more than once
   // (not the case for torus/Clos routes, but the solver stays general).
-  std::map<LinkIndex, double> remaining;
-  std::map<LinkIndex, int> count;
+  touched_.clear();
   for (const auto* path : paths) {
     PW_CHECK(!path->empty()) << "flow with empty path";
     for (LinkIndex l : *path) {
-      remaining.try_emplace(l, topo.EffectiveBandwidth(l));
-      ++count[l];
+      const auto li = static_cast<std::size_t>(l);
+      if (slot_[li] < 0) {
+        slot_[li] = 0;  // touched; the real slot is assigned after sorting
+        remaining_[li] = topo.EffectiveBandwidth(l);
+        count_[li] = 0;
+        touched_.push_back(l);
+      }
+      ++count_[li];
+    }
+  }
+  std::sort(touched_.begin(), touched_.end());
+
+  // CSR rows, one entry per crossing, filled in flow order so each row is
+  // ascending (a repeat crossing is a repeat entry, skipped once fixed).
+  const std::size_t m = touched_.size();
+  row_begin_.resize(m);
+  row_end_.resize(m);
+  live_.resize(m);
+  std::size_t offset = 0;
+  for (std::size_t s = 0; s < m; ++s) {
+    const auto li = static_cast<std::size_t>(touched_[s]);
+    slot_[li] = static_cast<int>(s);
+    row_begin_[s] = row_end_[s] = offset;
+    offset += static_cast<std::size_t>(count_[li]);
+    live_[s] = s;
+  }
+  flows_.resize(offset);
+  for (std::size_t f = 0; f < n; ++f) {
+    for (LinkIndex l : *paths[f]) {
+      const int s = slot_[static_cast<std::size_t>(l)];
+      flows_[row_end_[static_cast<std::size_t>(s)]++] = f;
     }
   }
 
-  std::vector<bool> fixed(n, false);
+  fixed_.assign(n, 0);
   std::size_t unfixed = n;
   while (unfixed > 0) {
-    // Bottleneck: smallest fair share; ties to the lowest link index (the
-    // map iterates in index order, so `<` keeps the first).
-    LinkIndex bottleneck = -1;
+    // Bottleneck: smallest fair share; ties to the lowest link index (live_
+    // stays in ascending slot == link order, so `<` keeps the first). Links
+    // no unfixed flow crosses any more drop out of live_ as they are seen.
+    std::size_t bottleneck = m;
     double share = std::numeric_limits<double>::infinity();
-    for (const auto& [l, cap] : remaining) {
-      const int c = count[l];
+    std::size_t kept = 0;
+    for (std::size_t s : live_) {
+      const auto li = static_cast<std::size_t>(touched_[s]);
+      const int c = count_[li];
       if (c == 0) continue;
-      const double s = std::max(cap, 0.0) / c;
-      if (s < share) {
-        share = s;
-        bottleneck = l;
+      live_[kept++] = s;
+      const double fair = std::max(remaining_[li], 0.0) / c;
+      if (fair < share) {
+        share = fair;
+        bottleneck = s;
       }
     }
-    PW_CHECK_GE(bottleneck, 0) << "unfixed flows but no loaded link";
-    for (std::size_t f = 0; f < n; ++f) {
-      if (fixed[f]) continue;
-      const auto& path = *paths[f];
-      if (std::find(path.begin(), path.end(), bottleneck) == path.end()) {
-        continue;
-      }
-      rates[f] = share;
-      fixed[f] = true;
+    live_.resize(kept);
+    PW_CHECK_LT(bottleneck, m) << "unfixed flows but no loaded link";
+    for (std::size_t i = row_begin_[bottleneck]; i < row_end_[bottleneck];
+         ++i) {
+      const std::size_t f = flows_[i];
+      if (fixed_[f]) continue;
+      rates_[f] = share;
+      fixed_[f] = 1;
       --unfixed;
-      for (LinkIndex l : path) {
-        remaining[l] -= share;
-        --count[l];
+      for (LinkIndex l : *paths[f]) {
+        const auto li = static_cast<std::size_t>(l);
+        remaining_[li] -= share;
+        --count_[li];
       }
     }
   }
-  return rates;
+  for (LinkIndex l : touched_) slot_[static_cast<std::size_t>(l)] = -1;
+  return rates_;
 }
 
 // ---------------------------------------------------------------------------
@@ -88,7 +133,14 @@ FlowNetwork::FlowId FlowNetwork::StartFlow(std::vector<LinkIndex> path,
   flow.latency = delivery_latency;
   flow.on_delivered = std::move(on_delivered);
   ++flows_started_;
-  Recompute();
+  // Defer the solve to a zero-delay event: the new flow moves no bytes
+  // before it runs, and further starts at this instant join the one solve.
+  if (!solve_pending_) {
+    solve_pending_ = true;
+    sim_->Schedule(Duration::Zero(), [this] {
+      if (solve_pending_) Recompute();
+    });
+  }
   return id;
 }
 
@@ -103,6 +155,7 @@ double FlowNetwork::Rate(FlowId id) const {
 
 void FlowNetwork::Recompute() {
   const TimePoint now = sim_->now();
+  solve_pending_ = false;
 
   // 1. Advance progress at the rates that held since the last event.
   const double dt = (now - last_update_).ToSeconds();
@@ -133,10 +186,10 @@ void FlowNetwork::Recompute() {
   }
 
   // 3. Re-solve the fair shares for the survivors.
-  std::vector<const std::vector<LinkIndex>*> paths;
-  paths.reserve(flows_.size());
-  for (const auto& [id, flow] : flows_) paths.push_back(&flow.path);
-  const std::vector<double> rates = MaxMinFairRates(*topo_, paths);
+  paths_.clear();
+  for (const auto& [id, flow] : flows_) paths_.push_back(&flow.path);
+  const std::vector<double>& rates = solver_.Solve(*topo_, paths_);
+  ++solves_;
   std::size_t i = 0;
   std::int64_t next_ns = std::numeric_limits<std::int64_t>::max();
   for (auto& [id, flow] : flows_) {
@@ -227,8 +280,15 @@ const std::vector<FlowCollectiveModel::StepCost>& FlowCollectiveModel::TreeRound
   return tree_cache_.emplace(n, std::move(rounds)).first->second;
 }
 
+void FlowCollectiveModel::CheckGang(int n) const {
+  PW_CHECK(n >= 2 && n <= torus_->num_nodes())
+      << "ring/tree schedule needs 2 <= n <= torus size; n=" << n
+      << ", torus has " << torus_->num_nodes() << " nodes";
+}
+
 Duration FlowCollectiveModel::RingTime(CollectiveKind kind, Bytes bytes,
                                        int n) const {
+  CheckGang(n);
   const StepCost& step = RingStep(n);
   const double chunk = static_cast<double>(bytes) / n;
   int steps = 0;
@@ -252,6 +312,7 @@ Duration FlowCollectiveModel::RingTime(CollectiveKind kind, Bytes bytes,
 
 Duration FlowCollectiveModel::TreeTime(CollectiveKind kind, Bytes bytes,
                                        int n) const {
+  CheckGang(n);
   const std::vector<StepCost>& rounds = TreeRounds(n);
   double one_way = 0;  // reduce (or broadcast) direction
   for (const StepCost& round : rounds) {

@@ -1,16 +1,18 @@
 // Flow-level network engine over an explicit Topology (docs/NETWORK.md).
 //
 // Active transfers are modeled as fluid flows that share every link on
-// their path max-min fairly. The allocation is recomputed at each flow
-// start, flow finish, and link-capacity change — the standard fluid
-// approximation used by flow-level simulators — so a transfer's rate rises
-// and falls as competitors come and go, and effects the scalar fabric
+// their path max-min fairly. The allocation is re-solved once per simulated
+// instant at which the flow set or a link capacity changes — the standard
+// fluid approximation used by flow-level simulators — so a transfer's rate
+// rises and falls as competitors come and go, and effects the scalar fabric
 // cannot express (incast at a destination NIC, Clos oversubscription,
 // one degraded edge slowing exactly the paths that cross it) fall out of
-// the link graph.
+// the link graph. Flow finishes and capacity changes re-solve on the spot;
+// a flow start only schedules a zero-delay solve, so a burst of k starts at
+// one instant costs one solve, not k.
 //
-// Determinism: every recomputation runs inside a simulator event, ordered
-// by (time, seq) like everything else; flows are iterated in start order
+// Determinism: every solve runs inside a simulator event, ordered by
+// (time, seq) like everything else; flows are iterated in start order
 // (flow ids are handed out sequentially); the water-filling bottleneck
 // tie-break is the lowest link index; and predicted completion times are
 // ceilinged to integer nanoseconds. Two runs of the same scenario schedule
@@ -34,10 +36,39 @@ namespace pw::net {
 // effective link bandwidths of `topo`. Repeatedly finds the bottleneck link
 // — the one whose remaining capacity divided by its unfixed-flow count is
 // smallest, ties to the lowest link index — and fixes every flow crossing
-// it at that fair share. Runs in O(iterations · total path length); exact
-// order of operations is deterministic, so results are bit-stable.
+// it at that fair share. Runs in O(touched links · iterations + total path
+// length) over dense per-link arrays; the order of floating-point operations
+// is fixed, so results are bit-stable.
 std::vector<double> MaxMinFairRates(
     const Topology& topo, const std::vector<const std::vector<LinkIndex>*>& paths);
+
+// The solver behind MaxMinFairRates, holding its per-link scratch so that
+// repeated solves over one topology do not allocate once the buffers have
+// grown to the largest problem seen.
+class MaxMinSolver {
+ public:
+  // One rate per path, as MaxMinFairRates; valid until the next Solve.
+  const std::vector<double>& Solve(
+      const Topology& topo,
+      const std::vector<const std::vector<LinkIndex>*>& paths);
+
+ private:
+  // Indexed by LinkIndex. slot_ is -1 for links outside the current solve
+  // (restored before Solve returns); the other two are valid only for
+  // links with a slot.
+  std::vector<int> slot_;          // position in touched_
+  std::vector<double> remaining_;  // unallocated capacity
+  std::vector<int> count_;         // unfixed flows crossing, with repeats
+  // Indexed by slot: the touched links in ascending order, and a CSR list
+  // of the flows crossing each one, ascending, an entry per crossing.
+  std::vector<LinkIndex> touched_;
+  std::vector<std::size_t> row_begin_;
+  std::vector<std::size_t> row_end_;
+  std::vector<std::size_t> flows_;
+  std::vector<std::size_t> live_;  // slots still crossed by an unfixed flow
+  std::vector<char> fixed_;
+  std::vector<double> rates_;
+};
 
 class FlowNetwork {
  public:
@@ -66,8 +97,13 @@ class FlowNetwork {
   std::int64_t flows_completed() const { return flows_completed_; }
   Bytes bytes_delivered() const { return bytes_delivered_; }
 
-  // Current fair-share rate of an active flow (bytes/sec); 0 if finished.
+  // Fair-share rate of an active flow (bytes/sec) as of the last solve; 0
+  // if finished. A flow started in the current event reads 0 until the
+  // same-instant solve runs.
   double Rate(FlowId id) const;
+
+  // Fair-share solves run so far; flow starts at one instant share one.
+  std::int64_t solves() const { return solves_; }
 
  private:
   struct Flow {
@@ -80,6 +116,7 @@ class FlowNetwork {
 
   // Advances progress to now(), delivers ripe flows, re-solves the fair
   // shares for the survivors, and re-arms the next-completion timer.
+  // Absorbs a pending deferred solve.
   void Recompute();
 
   sim::Simulator* sim_;
@@ -88,6 +125,10 @@ class FlowNetwork {
   FlowId next_id_ = 0;
   TimePoint last_update_;
   sim::EventHandle next_completion_;
+  bool solve_pending_ = false;  // a zero-delay solve is scheduled
+  MaxMinSolver solver_;
+  std::vector<const std::vector<LinkIndex>*> paths_;  // solve scratch
+  std::int64_t solves_ = 0;
   std::int64_t flows_started_ = 0;
   std::int64_t flows_completed_ = 0;
   Bytes bytes_delivered_ = 0;
@@ -118,7 +159,9 @@ class FlowCollectiveModel : public CollectiveModel {
 
   Duration Time(CollectiveKind kind, Bytes bytes, int n) const override;
 
-  // Exposed for tests and the ring-vs-tree crossover analysis.
+  // Exposed for tests and the ring-vs-tree crossover analysis. Unlike
+  // Time(), which prices n == 1 as launch overhead, these need a real
+  // schedule: 2 <= n <= torus->num_nodes().
   Duration RingTime(CollectiveKind kind, Bytes bytes, int n) const;
   Duration TreeTime(CollectiveKind kind, Bytes bytes, int n) const;
 
@@ -128,6 +171,7 @@ class FlowCollectiveModel : public CollectiveModel {
     int max_hops = 1;     // longest path in the step/round
   };
 
+  void CheckGang(int n) const;
   const StepCost& RingStep(int n) const;
   const std::vector<StepCost>& TreeRounds(int n) const;
   void MaybeInvalidate() const;

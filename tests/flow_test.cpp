@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "hw/cluster.h"
 #include "net/collective_model.h"
 #include "net/dcn.h"
@@ -133,6 +136,97 @@ TEST(MaxMinFairTest, DegradedLinkScalesShares) {
   EXPECT_DOUBLE_EQ(rates[1], 2.5e9);
 }
 
+// Max-min certificate over random instances, checked without a second
+// solver: (1) no link carries more than its capacity, and (2) every flow
+// crosses a saturated link on which no flow has a higher rate (so no flow
+// can speed up without slowing one that is no faster). Paths come from
+// random Clos and torus routes; some cross a link twice, some links are
+// degraded, and instances reach 512 flows.
+TEST(MaxMinFairTest, RandomInstancesSatisfyMaxMinCertificate) {
+  constexpr double kEps = 1e-9;
+  Rng rng(20240617);
+  for (int instance = 0; instance < 240; ++instance) {
+    Topology topo;
+    std::unique_ptr<TorusTopology> torus;
+    std::unique_ptr<ClosTopology> clos;
+    int nodes = 0;
+    if (instance % 2 == 0) {
+      const int ndims = 2 + static_cast<int>(rng.NextBounded(2));
+      std::vector<int> dims;
+      for (int d = 0; d < ndims; ++d) {
+        dims.push_back(
+            1 + static_cast<int>(rng.NextBounded(ndims == 2 ? 6 : 4)));
+      }
+      if (dims[0] == 1) dims[0] = 2;  // at least two nodes
+      torus = std::make_unique<TorusTopology>(&topo, dims, 100e9);
+      nodes = torus->num_nodes();
+    } else {
+      ClosTopology::Params params;
+      params.hosts_per_leaf = 1 + static_cast<int>(rng.NextBounded(8));
+      params.num_spines = 1 + static_cast<int>(rng.NextBounded(4));
+      params.host_bandwidth = 10e9;
+      params.oversubscription = rng.NextDouble(1.0, 4.0);
+      clos = std::make_unique<ClosTopology>(&topo, params);
+      nodes = 2 + static_cast<int>(rng.NextBounded(31));
+      for (int h = 0; h < nodes; ++h) clos->AddHost();
+    }
+    for (std::size_t l = 0; l < topo.num_links(); ++l) {
+      if (rng.NextBounded(8) == 0) {
+        topo.SetLinkScale(static_cast<LinkIndex>(l), rng.NextDouble(0.05, 1.0));
+      }
+    }
+
+    const int n = 1 + static_cast<int>(rng.NextBounded(512));
+    std::vector<std::vector<LinkIndex>> paths;
+    for (int f = 0; f < n; ++f) {
+      const auto bound = static_cast<std::uint64_t>(nodes);
+      const int src = static_cast<int>(rng.NextBounded(bound));
+      int dst = static_cast<int>(rng.NextBounded(bound - 1));
+      if (dst >= src) ++dst;
+      std::vector<LinkIndex> path =
+          torus ? torus->Path(src, dst) : clos->Path(src, dst);
+      if (rng.NextBounded(8) == 0) {  // re-cross a prefix of the route
+        const std::vector<LinkIndex> prefix(
+            path.begin(),
+            path.begin() + static_cast<long>(1 + rng.NextBounded(path.size())));
+        path.insert(path.end(), prefix.begin(), prefix.end());
+      }
+      paths.push_back(std::move(path));
+    }
+    std::vector<const std::vector<LinkIndex>*> ptrs;
+    for (const auto& p : paths) ptrs.push_back(&p);
+    const std::vector<double> rates = MaxMinFairRates(topo, ptrs);
+    ASSERT_EQ(rates.size(), paths.size());
+
+    // Per-link load (a flow crossing a link twice loads it twice) and the
+    // fastest flow on each link.
+    std::vector<double> load(topo.num_links(), 0.0);
+    std::vector<double> fastest(topo.num_links(), 0.0);
+    for (int f = 0; f < n; ++f) {
+      ASSERT_TRUE(std::isfinite(rates[f]) && rates[f] > 0)
+          << "instance " << instance << " flow " << f;
+      for (LinkIndex l : paths[f]) {
+        load[l] += rates[f];
+        fastest[l] = std::max(fastest[l], rates[f]);
+      }
+    }
+    for (std::size_t l = 0; l < topo.num_links(); ++l) {
+      const double cap = topo.EffectiveBandwidth(static_cast<LinkIndex>(l));
+      ASSERT_LE(load[l], cap * (1 + kEps))
+          << "instance " << instance << " link " << l;
+    }
+    for (int f = 0; f < n; ++f) {
+      const bool bottlenecked = std::any_of(
+          paths[f].begin(), paths[f].end(), [&](LinkIndex l) {
+            return load[l] >= topo.EffectiveBandwidth(l) * (1 - kEps) &&
+                   rates[f] >= fastest[l] * (1 - kEps);
+          });
+      ASSERT_TRUE(bottlenecked) << "instance " << instance << " flow " << f
+                                << " has no saturated link it is fastest on";
+    }
+  }
+}
+
 // ----------------------------------------------------------- FlowNetwork --
 
 TEST(FlowNetworkTest, UncontendedFlowMatchesLinkArithmetic) {
@@ -165,6 +259,36 @@ TEST(FlowNetworkTest, TwoFlowsShareThenSpeedUp) {
   // Both share 0.5 GB/s for the full 10 KB: 20 us each.
   EXPECT_NEAR(arrivals[0], 20.0, 0.01);
   EXPECT_NEAR(arrivals[1], 20.0, 0.01);
+}
+
+TEST(FlowNetworkTest, BurstOfStartsCoalescesIntoOneSolve) {
+  // 64 flows started from one event share one solve. 32 x 1 KB and 32 x
+  // 3 KB on a 1 GB/s link: all 64 run at 1/64 GB/s until the small ones
+  // drain (64 us); the 32 survivors then run at 1/32 GB/s over their last
+  // 2 KB (64 us more).
+  sim::Simulator sim;
+  Topology topo;
+  const LinkIndex l = topo.AddLink("l", 1e9);
+  FlowNetwork net(&sim, &topo);
+  std::vector<double> small_us, large_us;
+  sim.Schedule(Duration::Micros(5), [&] {
+    for (int i = 0; i < 64; ++i) {
+      const bool small = i % 2 == 0;
+      net.StartFlow({l}, small ? 1000 : 3000, Duration::Zero(), [&, small] {
+        (small ? small_us : large_us).push_back(sim.now().ToMicros());
+      });
+    }
+  });
+  sim.RunUntil(TimePoint() + Duration::Micros(5));
+  EXPECT_EQ(net.active_flows(), 64);
+  EXPECT_EQ(net.solves(), 1);
+  EXPECT_DOUBLE_EQ(net.Rate(0), 1e9 / 64);
+  sim.Run();
+  ASSERT_EQ(small_us.size(), 32u);
+  ASSERT_EQ(large_us.size(), 32u);
+  for (double t : small_us) EXPECT_NEAR(t, 5.0 + 64.0, 0.01);
+  for (double t : large_us) EXPECT_NEAR(t, 5.0 + 128.0, 0.01);
+  EXPECT_EQ(net.solves(), 2);  // plus the re-share when the small ones left
 }
 
 TEST(FlowNetworkTest, LateJoinerSlowsInFlight) {
@@ -421,6 +545,18 @@ TEST(FlowCollectiveModelTest, SubsetGangsAndMonotonicity) {
       prev = t;
     }
   }
+}
+
+TEST(FlowCollectiveModelTest, RingAndTreeTimeRejectGangsWithoutSchedule) {
+  CollectiveParams params;
+  Topology topo;
+  TorusTopology torus(&topo, {4, 4}, params.link_bandwidth);
+  FlowCollectiveModel m(params, &topo, &torus);
+  const auto kind = CollectiveKind::kAllReduce;
+  EXPECT_DEATH(m.RingTime(kind, MiB(1), 1), "n=1, torus has 16 nodes");
+  EXPECT_DEATH(m.TreeTime(kind, MiB(1), 1), "n=1, torus has 16 nodes");
+  EXPECT_DEATH(m.RingTime(kind, MiB(1), 17), "n=17, torus has 16 nodes");
+  EXPECT_DEATH(m.TreeTime(kind, MiB(1), 17), "n=17, torus has 16 nodes");
 }
 
 // ----------------------------------------------------- Island flow mode --
