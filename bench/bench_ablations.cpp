@@ -3,12 +3,13 @@
 //   B. sharded-buffer client bookkeeping (vs per-shard)       — §4.2
 //   C. centralized gang scheduling (vs uncoordinated enqueue) — §4.4
 //   D. compact sharded dataflow representation (vs M x N)     — §4.3
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "pathways/pathways.h"
-#include "plaque/program.h"
 #include "xlasim/compiled_function.h"
 
 namespace {
@@ -120,26 +121,34 @@ std::pair<bool, int> GangSchedulingAblation() {
 }
 
 // --- D: compact representation ---
-void CompactRepresentationAblation() {
-  // Chained execution of 2 computations with N shards each: Pathways/PLAQUE
-  // keeps 4 nodes; a TF1-style materialized graph stores per-shard nodes
-  // and M x N edges between sharded computations.
-  std::printf("  %-10s %22s %26s\n", "shards", "compact nodes(edges)",
-              "materialized nodes(edges)");
-  for (const int n : {16, 256, 2048}) {
-    plaque::DataflowProgram p("chain");
-    const auto arg = p.AddNode(plaque::NodeKind::kArg, "arg", n);
-    const auto a = p.AddNode(plaque::NodeKind::kCompute, "A", n);
-    const auto b = p.AddNode(plaque::NodeKind::kCompute, "B", n);
-    const auto res = p.AddNode(plaque::NodeKind::kResult, "res", n);
-    p.AddEdge(arg, a);
-    p.AddEdge(a, b);
-    p.AddEdge(b, res);
-    const long long mat_nodes = 4LL * n;
-    const long long mat_edges = 2LL * n + 1LL * n * n;  // A->B is all-to-all
-    std::printf("  %-10d %12d(%d) %20lld(%lld)\n", n, p.num_nodes(),
-                p.num_edges(), mat_nodes, mat_edges);
+struct CompactCounts {
+  int nodes = 0;
+  int edges = 0;
+};
+
+// Traces Argument -> Call(A) -> Call(B) -> Result with every computation on
+// an n-device virtual slice, and counts the compact form the runtime
+// executes: nodes are arguments, calls and results; edges are call inputs
+// and results. A TF1-style materialized graph instead stores per-shard
+// nodes and M x N edges between sharded computations.
+CompactCounts CompactChain(int n) {
+  VirtualSlice slice;
+  slice.devices.resize(static_cast<std::size_t>(n));
+  const auto fn = xlasim::CompiledFunction::Synthetic("op", n, Duration::Micros(10));
+  ProgramBuilder pb("chain");
+  const ValueRef arg = pb.Argument();
+  const ValueRef a = pb.Call(fn, slice, {arg}, "A");
+  const ValueRef b = pb.Call(fn, slice, {a}, "B");
+  pb.Result(b);
+  const PathwaysProgram prog = std::move(pb).Build();
+  const int results = static_cast<int>(prog.results().size());
+  CompactCounts c;
+  c.nodes = prog.num_arguments() + prog.num_nodes() + results;
+  c.edges = results;
+  for (const ComputationNode& node : prog.nodes()) {
+    c.edges += static_cast<int>(node.inputs.size());
   }
+  return c;
 }
 
 }  // namespace
@@ -178,7 +187,47 @@ int main(int argc, char** argv) {
                  {"gang_completed_programs", static_cast<double>(gang_completed)}});
 
   std::printf("\n[D] compact sharded dataflow representation:\n");
-  CompactRepresentationAblation();
+  std::printf("  %-10s %22s %26s\n", "shards", "compact nodes(edges)",
+              "materialized nodes(edges)");
+  bool compact_constant = true;
+  const CompactCounts first = CompactChain(16);
+  for (const int n : {16, 256, 2048}) {
+    const CompactCounts c = CompactChain(n);
+    compact_constant = compact_constant && c.nodes == first.nodes &&
+                       c.edges == first.edges;
+    const long long mat_nodes = 4LL * n;
+    const long long mat_edges = 2LL * n + 1LL * n * n;  // A->B is all-to-all
+    std::printf("  %-10d %12d(%d) %20lld(%lld)\n", n, c.nodes, c.edges,
+                mat_nodes, mat_edges);
+    report.AddRow({{"ablation", std::string("compact_representation")},
+                   {"shards", static_cast<std::int64_t>(n)}},
+                  {{"compact_nodes", static_cast<double>(c.nodes)},
+                   {"compact_edges", static_cast<double>(c.edges)},
+                   {"materialized_nodes", static_cast<double>(mat_nodes)},
+                   {"materialized_edges", static_cast<double>(mat_edges)}});
+  }
   report.Write();
-  return 0;
+
+  // The paper's claims, one per ablation: removing the mechanism must hurt.
+  std::vector<std::string> failures;
+  if (!(seq / par > 1.0)) {
+    failures.push_back("A: parallel dispatch is not faster than sequential");
+  }
+  if (!(with_sb / without_sb > 1.0)) {
+    failures.push_back(
+        "B: sharded bookkeeping is not faster than per-shard bookkeeping");
+  }
+  if (!uncoordinated_deadlock || gang_completed != 100) {
+    failures.push_back(
+        "C: uncoordinated enqueue must deadlock and gang scheduling must "
+        "complete 100/100 programs");
+  }
+  if (!compact_constant) {
+    failures.push_back(
+        "D: compact node/edge counts change with the shard count");
+  }
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "FAIL: %s\n", f.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }

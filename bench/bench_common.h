@@ -5,6 +5,8 @@
 // schema) so CI can track the perf trajectory across PRs.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +71,20 @@ struct Args {
     std::fprintf(out, "  --help             this text\n");
   }
 
+  // Whole-string strtod: rejects empty, trailing junk, out-of-range,
+  // non-finite and non-positive values.
+  static bool ParsePositiveDouble(const char* text, double* out) {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+        !(v > 0)) {
+      return false;
+    }
+    *out = v;
+    return true;
+  }
+
   static Args Parse(int argc, char** argv, unsigned extra = kNoExtraFlags) {
     Args args;
     auto value = [&](int* i, const char* flag) -> const char* {
@@ -88,7 +104,15 @@ struct Args {
         args.out_dir = value(&i, a);
       } else if ((extra & kSimcoreFlags) != 0 &&
                  std::strcmp(a, "--min-speedup") == 0) {
-        args.min_speedup = std::atof(value(&i, a));
+        const char* text = value(&i, a);
+        if (!ParsePositiveDouble(text, &args.min_speedup)) {
+          std::fprintf(stderr,
+                       "%s: --min-speedup expects a positive number, got "
+                       "'%s'\n",
+                       argv[0], text);
+          Usage(stderr, argv[0], extra);
+          std::exit(2);
+        }
       } else if ((extra & kSimcoreFlags) != 0 &&
                  std::strcmp(a, "--gbench") == 0) {
         args.gbench = true;

@@ -151,28 +151,4 @@ Bytes DcnFabric::held_bytes() const {
   return n;
 }
 
-void DcnBatcher::Send(HostId dst, Bytes bytes, std::function<void()> on_delivered) {
-  Pending& pend = pending_[dst];
-  pend.bytes += bytes;
-  pend.callbacks.push_back(std::move(on_delivered));
-  if (!pend.flush_scheduled) {
-    pend.flush_scheduled = true;
-    sim_->Schedule(window_, [this, dst] { Flush(dst); });
-  }
-}
-
-void DcnBatcher::Flush(HostId dst) {
-  auto it = pending_.find(dst);
-  if (it == pending_.end()) return;
-  Pending batch = std::move(it->second);
-  pending_.erase(it);
-  if (batch.callbacks.empty()) return;
-  ++flushes_;
-  auto callbacks = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(batch.callbacks));
-  fabric_->Send(self_, dst, batch.bytes, [callbacks] {
-    for (auto& cb : *callbacks) cb();
-  });
-}
-
 }  // namespace pw::net

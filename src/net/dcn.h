@@ -11,10 +11,6 @@
 //     Uplink oversubscription and incast at the destination's access link
 //     are first-class; a NIC-degrade fault scales that host's access
 //     edges, and a partition cuts real paths.
-// The fabric also offers a Batcher that coalesces small control messages
-// destined for the same host within a short window — the PLAQUE
-// requirement of "batch messages destined for the same host when high
-// throughput is required" (§4.3).
 #pragma once
 
 #include <cstdint>
@@ -159,38 +155,6 @@ class DcnFabric {
   std::uint64_t next_hold_seq_ = 0;
   std::int64_t messages_ = 0;
   Bytes bytes_ = 0;
-};
-
-// Coalesces messages to the same destination host: messages enqueued within
-// `window` of the first unflushed message are sent as one DCN message (sum
-// of payloads + one header), and their delivery callbacks all run on
-// arrival. Used by the PLAQUE runtime for high-fanout edges.
-class DcnBatcher {
- public:
-  DcnBatcher(sim::Simulator* sim, DcnFabric* fabric, HostId self,
-             Duration window)
-      : sim_(sim), fabric_(fabric), self_(self), window_(window) {}
-
-  void Send(HostId dst, Bytes bytes, std::function<void()> on_delivered);
-
-  // Number of physical DCN messages actually emitted.
-  std::int64_t flushes() const { return flushes_; }
-
- private:
-  struct Pending {
-    Bytes bytes = 0;
-    std::vector<std::function<void()>> callbacks;
-    bool flush_scheduled = false;
-  };
-
-  void Flush(HostId dst);
-
-  sim::Simulator* sim_;
-  DcnFabric* fabric_;
-  HostId self_;
-  Duration window_;
-  std::map<HostId, Pending> pending_;
-  std::int64_t flushes_ = 0;
 };
 
 }  // namespace pw::net

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "common/units.h"
-#include "sim/future.h"
 #include "sim/simulator.h"
 
 namespace pw::sim {
@@ -45,13 +44,6 @@ class SerialResource {
   // Submits work with no completion callback.
   TimePoint Submit(Duration cost) {
     return Submit(cost, [] {});
-  }
-
-  // Future-returning flavor for coroutine code.
-  SimFuture<Unit> SubmitAsync(Duration cost) {
-    SimPromise<Unit> p(sim_);
-    Submit(cost, [p]() mutable { p.Set(Unit{}); });
-    return p.future();
   }
 
   TimePoint busy_until() const { return busy_until_; }

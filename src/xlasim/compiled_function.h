@@ -8,10 +8,13 @@
 // be allocated before predecessors execute.
 //
 // Two construction paths:
+//   * producers state the per-shard timings and buffer sizes outright: the
+//     model layer (models/step_builder.h) derives them from FLOP counts and
+//     device peak, the serving batcher from per-token costs, and
+//     micro-benchmarks use Synthetic to sweep computation duration, as the
+//     paper does. Every workload builds its functions this way;
 //   * Compiler::Compile lowers an HloModule under a ShardingSpec, using the
-//     CostModel for device time (the "real" path used by the model layer);
-//   * CompiledFunction::Synthetic builds one from explicit timings (used by
-//     micro-benchmarks that sweep computation duration, as the paper does).
+//     CostModel for device time. No workload calls it; only xlasim_test does.
 #pragma once
 
 #include <optional>
@@ -74,8 +77,8 @@ class Compiler {
 
   // Lowers `module` for SPMD execution over `sharding.num_shards` shards.
   // Compute time is the per-shard roofline estimate; at most one collective
-  // is supported per function (XLA would fuse more — our model layer splits
-  // larger programs into one-collective functions).
+  // is supported per function (XLA would fuse more — callers split larger
+  // programs into one-collective functions).
   CompiledFunction Compile(const HloModule& module,
                            const ShardingSpec& sharding) const;
 

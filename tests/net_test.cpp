@@ -200,38 +200,6 @@ TEST(DcnTest, MessageAndByteStats) {
   EXPECT_EQ(dcn.bytes_sent(), 300);
 }
 
-TEST(DcnBatcherTest, CoalescesWithinWindow) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  dcn.AddHost(HostId(0));
-  dcn.AddHost(HostId(1));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  for (int i = 0; i < 10; ++i) {
-    batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  }
-  sim.Run();
-  EXPECT_EQ(delivered, 10);
-  EXPECT_EQ(batcher.flushes(), 1);      // one physical message
-  EXPECT_EQ(dcn.messages_sent(), 1);
-}
-
-TEST(DcnBatcherTest, SeparateWindowsSeparateFlushes) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  dcn.AddHost(HostId(0));
-  dcn.AddHost(HostId(1));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  sim.Schedule(Duration::Micros(100), [&] {
-    batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  });
-  sim.Run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(batcher.flushes(), 2);
-}
-
 TEST(DcnFabricTest, HeldTrafficCountsAtSubmissionNotAtHeal) {
   // Partition-held messages are *offered* load: they must appear in
   // messages_sent()/bytes_sent() the moment Send() accepts them, or fault
@@ -429,19 +397,6 @@ TEST(DcnFabricFuzzTest, OrderedExactlyOnceUnderPartitionsClos) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     RunPartitionDegradeFuzz(seed, /*clos_mode=*/true);
   }
-}
-
-TEST(DcnBatcherTest, DistinctDestinationsDoNotCoalesce) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  for (int h = 0; h < 3; ++h) dcn.AddHost(HostId(h));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  batcher.Send(HostId(2), 64, [&] { ++delivered; });
-  sim.Run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(batcher.flushes(), 2);
 }
 
 }  // namespace

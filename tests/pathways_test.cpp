@@ -343,6 +343,28 @@ TEST(ProgramTest, DefaultResultIsLastNode) {
   EXPECT_TRUE(prog.IsResult(ValueRef::Node(0)));
 }
 
+TEST(ProgramTest, CompactRepresentationIndependentOfShardCount) {
+  // Paper §4.3: Arg -> A -> B -> Result is two computation nodes and two
+  // input edges whether each slice has 16 or 2048 virtual devices.
+  for (const int shards : {16, 256, 2048}) {
+    VirtualSlice slice;
+    slice.devices.resize(static_cast<std::size_t>(shards));
+    auto f = CompiledFunction::Synthetic("f", shards, Duration::Micros(10));
+    ProgramBuilder pb("chain");
+    const ValueRef a = pb.Call(f, slice, {pb.Argument()}, "A");
+    pb.Result(pb.Call(f, slice, {a}, "B"));
+    const PathwaysProgram prog = std::move(pb).Build();
+    std::size_t input_edges = 0;
+    for (const ComputationNode& node : prog.nodes()) {
+      input_edges += node.inputs.size();
+    }
+    EXPECT_EQ(prog.num_nodes(), 2) << shards << " shards";
+    EXPECT_EQ(input_edges, 2u) << shards << " shards";
+    EXPECT_EQ(prog.num_arguments(), 1);
+    EXPECT_EQ(prog.results().size(), 1u);
+  }
+}
+
 // ------------------------------------------------------------- End-to-end --
 
 TEST(ExecutionTest, SingleNodeProgramCompletes) {
